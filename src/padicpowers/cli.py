@@ -440,6 +440,23 @@ def _report_error(exc: PadicError, as_json: bool) -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    Reports carry exact integers, which can exceed the interpreter's limit on
+    int-to-str digits (construct ck-not-power --p 3 --m 9013 does), so the
+    limit is lifted for the command and restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreter without the limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -458,9 +475,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except PadicError as exc:
         _report_error(exc, as_json)
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error (usage): {exc}\n")
-        return 64
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

@@ -1,9 +1,21 @@
 """Multiplicative p-th power classes of a local field.
 
-The unit classes are detected at a finite precision threshold: once two
-elements agree well past ord(p) * p / (p - 1), their ratio is a p-th power,
-so every question about the quotient group reduces to exact arithmetic on a
-finite residue system.
+The unit classes are detected at a finite precision threshold k0: once two
+units agree modulo pi^k0, with k0 past ord(p) * p / (p - 1), their ratio is
+a p-th power.  So the class of x = pi^v * u is fixed by v mod p and by the
+residue of the unit u modulo pi^k0, which x fixes through its own residue
+modulo pi^(v + k0).  Every question therefore becomes one dict lookup keyed
+by a canonical residue.
+
+The key.  Write x = sum c_i t^i in the model's power basis.  The model's
+valuation is ord x = min(e * v_p(c_i) + i) in the Eisenstein model and
+min v_p(c_i) in the other two, so the elements of ord >= k form the lattice
+spanned by p^ceil((k - i) / e) * t^i (by p^k * t^i outside the Eisenstein
+model; a nonpositive exponent means modulus 1).  Subtraction acts on
+coordinates, so x and y agree modulo pi^k exactly when every c_i agrees
+with c'_i modulo its lattice modulus, and the tuple of coordinates reduced
+by those moduli is a canonical key of x modulo pi^k.  It needs no division
+and no digit peeling.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArtinCountViolation, ZeroArgument
-from .localfield import LocalField, OKElem, residues
+from .localfield import EISENSTEIN, LocalField, OKElem, residues
 
 __all__ = [
     "PowerClassId",
@@ -34,35 +46,91 @@ def threshold_k0(field: LocalField) -> int:
     return field.e * field.p // (field.p - 1) + 1
 
 
-@lru_cache(maxsize=64)
-def _unit_table(field: LocalField) -> tuple[tuple[OKElem, OKElem], ...]:
-    """Pairs (c, c^p) for every unit c in the threshold residue system."""
-    k0 = threshold_k0(field)
+def _moduli(field: LocalField, k: int) -> tuple[int, ...]:
+    """Per-coordinate moduli of the lattice of elements of ord >= k."""
     p = field.p
-    return tuple((c, c**p) for c in residues(field, k0) if c.is_unit())
+    if field.kind == EISENSTEIN:
+        return tuple(p ** max(0, -((i - k) // field.e)) for i in range(field.e))
+    return (p**k,) * field.degree
+
+
+def _key(x: OKElem, moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical key of x modulo the lattice given by its moduli."""
+    return tuple(c % m for c, m in zip(x.coords, moduli))
+
+
+def _threshold_units(field: LocalField) -> list[OKElem]:
+    return [c for c in residues(field, threshold_k0(field)) if c.is_unit()]
+
+
+@lru_cache(maxsize=64)
+def _unit_class_reps(
+    field: LocalField,
+) -> tuple[tuple[OKElem, ...], dict[tuple[int, ...], int]]:
+    """Partition of the threshold units into power classes, by coset filling.
+
+    Returns the class representatives, and a dict from the key modulo pi^k0
+    of every unit to the index of its class.  The p-th powers of units
+    modulo pi^k0 form a subgroup Q, and two units lie in one class exactly
+    when their quotient lies in Q; so each new representative r claims the
+    keys of r * q for every q in Q.  Units are visited in residue order with
+    1 seeded first, so each representative is the first unit of its class
+    in that order, and the trivial class is always represented by 1.
+    """
+    p = field.p
+    moduli = _moduli(field, threshold_k0(field))
+    units = _threshold_units(field)
+    powers = list({_key(cp, moduli): cp for cp in (c**p for c in units)}.values())
+    reps: list[OKElem] = []
+    index: dict[tuple[int, ...], int] = {}
+    for c in [field.one()] + units:
+        if _key(c, moduli) not in index:
+            for q in powers:
+                index[_key(c * q, moduli)] = len(reps)
+            reps.append(c)
+    return tuple(reps), index
+
+
+@lru_cache(maxsize=64)
+def _lookup(
+    field: LocalField, v: int
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Moduli of residues modulo pi^(v + k0), and a dict from the key of
+    pi^v * c to the class index of c, for every threshold unit c.
+
+    Multiplication by pi^v maps the units modulo pi^k0 one-to-one onto the
+    elements of ord v modulo pi^(v + k0), so every x of ord v has its key
+    in the dict, and the index found is the class of the unit x / pi^v.
+    """
+    k0 = threshold_k0(field)
+    low, high = _moduli(field, k0), _moduli(field, v + k0)
+    _, index = _unit_class_reps(field)
+    shift = field.uniformizer() ** v
+    return high, {
+        _key(shift * c, high): index[_key(c, low)] for c in _threshold_units(field)
+    }
+
+
+def _unit_class_index(x: OKElem, v: int, field: LocalField) -> int:
+    """Class index of the unit x / pi^v, for x of ord v."""
+    moduli, table = _lookup(field, v)
+    return table[_key(x, moduli)]
 
 
 def is_pth_power(x: OKElem, field: LocalField) -> bool:
     """Exact membership of x in the p-th powers of the field.
 
     Zero counts as a power.  For x = pi^v * u the test requires p | v and a
-    unit c with c^p congruent to u at the threshold precision; the search is
-    phrased as ord(x - pi^v * c^p) >= v + k0 so no division is ever needed.
+    unit c with c^p congruent to u at the threshold precision, that is
+    ord(x - pi^v * c^p) >= v + k0.  Those u are the trivial unit class, so
+    the test is one lookup of the key of x modulo pi^(v + k0).
     """
     if x.field != field:
         raise ValueError("element belongs to a different field")
     v = x.ord()
     if v is math.inf:
         return True
-    if v % field.p != 0:
-        return False
-    k0 = threshold_k0(field)
-    shift = field.uniformizer() ** v
-    target = v + k0
-    for _, cp in _unit_table(field):
-        if (x - shift * cp).ord() >= target:
-            return True
-    return False
+    return v % field.p == 0 and _unit_class_index(x, v, field) == 0
 
 
 def same_class(x: OKElem, y: OKElem, field: LocalField) -> bool:
@@ -97,23 +165,6 @@ class PowerClassId:
 
 
 @lru_cache(maxsize=64)
-def _unit_class_reps(field: LocalField) -> tuple[OKElem, ...]:
-    """First-match partition of threshold units into power classes.
-
-    The element 1 is seeded first so the trivial class is always
-    represented by 1, whatever the raw enumeration order.
-    """
-    one = field.one()
-    reps: list[OKElem] = [one]
-    for c, _ in _unit_table(field):
-        if c == one:
-            continue
-        if not any(same_class(c, r, field) for r in reps):
-            reps.append(c)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=64)
 def enumerate_classes(field: LocalField) -> tuple[PowerClassId, ...]:
     """All power classes as pi^j * u, with j major and units in rep order.
 
@@ -122,7 +173,7 @@ def enumerate_classes(field: LocalField) -> tuple[PowerClassId, ...]:
     broken classification and raises ArtinCountViolation.
     """
     p = field.p
-    unit_reps = _unit_class_reps(field)
+    unit_reps, _ = _unit_class_reps(field)
     pi = field.uniformizer()
     out: list[PowerClassId] = []
     for j in range(p):
@@ -144,11 +195,9 @@ def class_of(x: OKElem, field: LocalField) -> PowerClassId:
     """The canonical class containing the nonzero element x."""
     if not x:
         raise ZeroArgument("zero has no power class")
+    if x.field != field:
+        raise ValueError("element belongs to a different field")
     classes = enumerate_classes(field)
-    j = x.ord() % field.p
-    for cls in classes:
-        if cls.j == j and same_class(x, cls.rep, field):
-            return cls
-    raise ArtinCountViolation(
-        "no class matched; the classification is inconsistent"
-    )  # pragma: no cover - would indicate an internal bug
+    v = x.ord()
+    units_per_j = len(classes) // field.p
+    return classes[(v % field.p) * units_per_j + _unit_class_index(x, v, field)]

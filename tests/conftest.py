@@ -47,6 +47,19 @@ def U2():
     return make_field(2, UNRAMIFIED, (1, 1, 1))
 
 
+@pytest.fixture(scope="session")
+def E2_cube():
+    # totally ramified of degree 3: x^3 - 2, the field Q_2(2^(1/3))
+    return make_field(2, EISENSTEIN, (-2, 0, 0, 1))
+
+
+@pytest.fixture(scope="session")
+def E3():
+    # totally ramified: x^2 + 3, the field Q_3(sqrt -3), which contains the
+    # cube roots of unity
+    return make_field(3, EISENSTEIN, (3, 0, 1))
+
+
 def rootless_power_free_suite(fields, count, *, max_degree=4, height=10, seed=SUITE_SEED):
     """Deterministic sample of power-free polynomials without ring roots.
 
@@ -71,4 +84,29 @@ def rootless_power_free_suite(fields, count, *, max_degree=4, height=10, seed=SU
         ):
             continue
         out.append((field, F))
+    return out
+
+
+def scaled_units(field):
+    """Elements pi^v * u for v = 0 .. 2p + e, with big signed coordinates.
+
+    For each v, two units u have random 64-bit signed coordinates and two
+    are p-th powers c^p of such units, so both verdicts of the power test
+    occur.  The coordinates of pi^v * u then meet every per-coordinate
+    modulus a residue key can use, not only residues below p^depth.
+    """
+    rng = random.Random(SUITE_SEED)
+    pi = field.uniformizer()
+
+    def unit():
+        while True:
+            u = field.element([rng.randint(-(2**64), 2**64) for _ in range(field.degree)])
+            if u.is_unit():
+                return u
+
+    out = []
+    for v in range(2 * field.p + field.e + 1):
+        shift = pi**v
+        for _ in range(2):
+            out += [shift * unit(), shift * unit() ** field.p]
     return out

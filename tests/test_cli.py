@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+
+import pytest
 
 from padicpowers import IntPoly, make_field, BASE, EISENSTEIN
 from padicpowers.cli import _parse_poly_expr, run
@@ -82,6 +85,15 @@ def test_exit_code_usage(capsys):
     assert invoke(capsys, "decide", "--p", "2", "--poly", "x", "--ring", "nope")[0] == 64
 
 
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(field):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("padicpowers.cli.enumerate_classes", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["classes", "--p", "3"])
+
+
 def test_not_prime_is_precondition(capsys):
     code, _, err = invoke(capsys, "classes", "--p", "6", "--json")
     assert code == 2
@@ -146,6 +158,26 @@ def test_construct_and_approximate_payloads(capsys):
     )
     assert approx["n"] == 3
     assert approx["buffer"] == 3
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
+def test_construct_json_past_int_digit_limit(capsys):
+    # m = 9013 is the smallest m for which the constant 1 + 3^m has more than
+    # the default 4300 decimal digits of int-to-str conversion
+    m = 9013
+    assert 3 ** (m - 1) + 1 < 10**4300 <= 3**m + 1
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "construct", "ck-not-power", "--p", "3", "--m", str(m), "--json")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["poly"]["coeffs"][0] == 3**m + 1
 
 
 def test_check_power_payload(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import scaled_units
 
 from padicpowers import (
     IntPoly,
@@ -50,9 +51,11 @@ def test_decide_depth_stability(Q2):
     assert len({oracle_decide(F, Q2, d) for d in (6, 7, 8)}) == 1
 
 
-def test_agreement_with_fast_power_test(Q2, Q3, E2):
-    for field in (Q2, Q3, E2):
+def test_agreement_with_fast_power_test(Q2, Q3, E2, U2, E2_cube, E3):
+    for field in (Q2, Q3, E2, U2, E2_cube, E3):
         k0 = threshold_k0(field)
         for depth in (k0, k0 + 1):
             for x in iter_residues(field, depth):
                 assert oracle_is_pth_power(x, field, depth) == is_pth_power(x, field)
+        for x in scaled_units(field):
+            assert oracle_is_pth_power(x, field, k0) == is_pth_power(x, field)

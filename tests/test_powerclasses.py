@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from conftest import scaled_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from padicpowers import (
     enumerate_classes,
     is_pth_power,
     iter_residues,
+    oracle_is_pth_power,
     same_class,
     threshold_k0,
 )
@@ -78,11 +80,31 @@ def test_power_iff_trivial_class(Q2, a):
     assert is_pth_power(x, Q2) == same_class(x, Q2.one(), Q2)
 
 
-def test_enumerate_classes_counts(Q2, Q3, Q5, E2):
+def test_enumerate_classes_counts(Q2, Q3, Q5, E2, U2, E2_cube, E3):
     assert len(enumerate_classes(Q2)) == 8
     assert len(enumerate_classes(E2)) == 16
     assert len(enumerate_classes(Q3)) == 9
     assert len(enumerate_classes(Q5)) == 25
+    assert len(enumerate_classes(U2)) == 16
+    assert len(enumerate_classes(E2_cube)) == 32
+    assert len(enumerate_classes(E3)) == 81
+
+
+def test_class_order_is_first_match(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    # Counterexample classes in reports follow this order, so it is rebuilt
+    # here with the oracle: the first threshold unit of each class in residue
+    # order represents it, 1 represents the trivial class, and j is major.
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
+        p, k0 = field.p, threshold_k0(field)
+        reps = [field.one()]
+        for c in iter_residues(field, k0):
+            if c.is_unit() and not any(
+                oracle_is_pth_power(c * r ** (p - 1), field, k0) for r in reps
+            ):
+                reps.append(c)
+        pi = field.uniformizer()
+        expected = [str(pi**j * u) for j in range(p) for u in reps]
+        assert [cls.label() for cls in enumerate_classes(field)] == expected
 
 
 def test_enumerate_classes_q3_labels(Q3):
@@ -101,13 +123,14 @@ def test_classes_are_pairwise_inequivalent(Q3):
         assert not same_class(a.rep, b.rep, Q3)
 
 
-def test_class_of_roundtrip(Q2, E2):
-    for field in (Q2, E2):
-        for x in iter_residues(field, threshold_k0(field)):
+def test_class_of_roundtrip(Q2, E2, U2, E2_cube, E3):
+    for field in (Q2, E2, U2, E2_cube, E3):
+        k0 = threshold_k0(field)
+        for x in list(iter_residues(field, k0)) + scaled_units(field):
             if not x:
                 continue
-            cls = class_of(x, field)
-            assert same_class(x, cls.rep, field)
+            rep = class_of(x, field).rep
+            assert oracle_is_pth_power(x * rep ** (field.p - 1), field, k0)
     with pytest.raises(ZeroArgument):
         class_of(Q2.zero(), Q2)
 
