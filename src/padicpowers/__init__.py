@@ -62,7 +62,7 @@ from .localfield import (
     reduce_mod,
     residues,
 )
-from .oracle import oracle_decide, oracle_is_pth_power
+from .oracle import oracle_decide, oracle_is_pth_power, oracle_max_ord
 from .polyring import (
     IntPoly,
     NecessaryConditions,
@@ -148,6 +148,7 @@ __all__ = [
     "necessary_conditions",
     "oracle_decide",
     "oracle_is_pth_power",
+    "oracle_max_ord",
     "ord",
     "reciprocal",
     "reduce_mod",

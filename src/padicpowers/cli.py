@@ -32,6 +32,12 @@ from .powerclasses import class_of, enumerate_classes, is_pth_power, threshold_k
 
 __all__ = ["main", "run"]
 
+# Largest exponent accepted after ^ in a polynomial expression, counted in
+# degrees for a non-constant base (so nested powers are bounded too).  The
+# expansion cost grows faster than the degree, and an unbounded exponent
+# such as x^99999999999 would never finish expanding.
+MAX_EXPONENT = 100
+
 
 class _UsageError(Exception):
     pass
@@ -133,6 +139,12 @@ def _parse_poly_expr(text: str, field: LocalField) -> IntPoly:
             if not isinstance(exponent, int):
                 raise _UsageError("exponent must be a plain integer")
             take()
+            degree = 0 if base.is_zero else base.degree
+            if max(degree, 1) * exponent > MAX_EXPONENT:
+                raise _UsageError(
+                    f"power of degree {degree} to the {exponent} exceeds the "
+                    f"exponent limit {MAX_EXPONENT}"
+                )
             return base**exponent
         return base
 
@@ -246,9 +258,7 @@ def _cmd_decide(args) -> int:
     field = _parse_field(args)
     F = _parse_poly(args, field)
     decider = decide_CK if args.ring == "field" else decide_CZ
-    report = decider(
-        F, field, budget=args.budget, strategy=args.strategy, threads=args.threads
-    )
+    report = decider(F, field, budget=args.budget)
     lines = [
         f"verdict: {str(report.verdict).lower()} ({report.class_tested})",
         f"final_m: {report.final_m}  witnesses: {report.witness_count}",
@@ -264,9 +274,7 @@ def _cmd_spectrum(args) -> int:
     started = time.monotonic()
     field = _parse_field(args)
     F = _parse_poly(args, field)
-    classes, attains_zero = class_spectrum(
-        F, field, budget=args.budget, strategy=args.strategy, threads=args.threads
-    )
+    classes, attains_zero = class_spectrum(F, field, budget=args.budget)
     labels = [cls.label() for cls in sorted(classes, key=lambda c: c.sort_key)]
     payload = {
         "field": _field_payload(field),
@@ -349,7 +357,10 @@ def _cmd_approximate(args) -> int:
 def _cmd_check_power(args) -> int:
     started = time.monotonic()
     field = _parse_field(args)
-    x = field.element(_parse_int_list(args.value))
+    try:
+        x = field.element(_parse_int_list(args.value))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     verdict = is_pth_power(x, field)
     payload = {
         "verdict": verdict,
@@ -380,8 +391,6 @@ def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument("--strategy", choices=("frontier", "rescan"), default="frontier")
-    sub.add_argument("--threads", type=int, default=1)
 
 
 def _build_parser() -> _Parser:

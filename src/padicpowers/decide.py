@@ -5,7 +5,7 @@ power; decide_CK settles the same question over the whole field by combining
 the direct scan with the scan of the reciprocal polynomial.  class_spectrum
 generalizes the scan to report every power class the polynomial attains.
 All three run a certified finite scan: a residue class is pinned once the
-value's ord is at least its level minus the congruence threshold M, and the
+value's ord is at most its level minus the congruence threshold M, and the
 scan refines exactly the classes that are not yet pinned.
 
 Quantitative bounds (the Krasner-constant upper bound, the witness-set
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -225,120 +224,46 @@ def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
         )
 
 
-def _evaluate_wave(
-    F: IntPoly, points: list[OKElem], threads: int, executor: Optional[ThreadPoolExecutor]
-) -> list[OKElem]:
-    if executor is None or len(points) < 2 * threads:
-        return [F(a) for a in points]
-    return list(executor.map(F, points))
-
-
-def _scan_frontier(
-    F: IntPoly,
-    field: LocalField,
-    M: int,
-    budget: int,
-    threads: int,
-    collect: bool,
-):
+def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     """Core scan.  Returns (final_m, m_history, counterexample, classes).
 
     Every tested point a carries the level L of the residue class it
     represents; the class is pinned once ord F(a) <= L - M, otherwise it is
     refined to level ord F(a) + M and the new subclass representatives join
-    the queue.  Waves are evaluated in deterministic order (optionally in
-    parallel) and folded sequentially, so reports are identical for any
-    thread count.
+    the queue.  Points leave the queue in FIFO order, so the visiting order,
+    and with it the whole report, is deterministic.
     """
     _budget_guard(field, 0, M, budget)
-    p = field.p
     m = 0
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
     pi = field.uniformizer()
     pi_pows: dict[int, OKElem] = {M: pi**M}
     queue: deque[tuple[OKElem, int]] = deque((a, M) for a in iter_residues(field, M))
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while queue:
-            wave = list(queue)
-            queue.clear()
-            values = _evaluate_wave(F, [a for a, _ in wave], threads, executor)
-            for (a, level), value in zip(wave, values):
-                if not value:
-                    raise AssertionError("scan hit a zero value despite rootless input")
-                if collect:
-                    classes.add(class_of(value, field))
-                elif not is_pth_power(value, field):
-                    return m, tuple(history), (a, class_of(value, field)), classes
-                v = value.ord()
-                if v > m:
-                    m = v
-                    _budget_guard(field, m, M, budget)
-                    history.append(m)
-                if v > level - M:
-                    target = v + M
-                    shift = pi_pows.get(level)
-                    if shift is None:
-                        shift = pi**level
-                        pi_pows[level] = shift
-                    for r in iter_residues(field, target - level):
-                        if r:
-                            queue.append((a + shift * r, target))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    while queue:
+        a, level = queue.popleft()
+        value = F(a)
+        if not value:
+            raise AssertionError("scan hit a zero value despite rootless input")
+        if collect:
+            classes.add(class_of(value, field))
+        elif not is_pth_power(value, field):
+            return m, tuple(history), (a, class_of(value, field)), classes
+        v = value.ord()
+        if v > m:
+            m = v
+            _budget_guard(field, m, M, budget)
+            history.append(m)
+        if v > level - M:
+            target = v + M
+            shift = pi_pows.get(level)
+            if shift is None:
+                shift = pi**level
+                pi_pows[level] = shift
+            for r in iter_residues(field, target - level):
+                if r:
+                    queue.append((a + shift * r, target))
     return m, tuple(history), None, classes
-
-
-def _scan_rescan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
-    """Literal full-rescan variant kept for differential testing: on every
-    m increase the whole representative system at the new level is swept
-    again, with already-settled points skipped through a memo (residue
-    systems are nested level to level)."""
-    _budget_guard(field, 0, M, budget)
-    m = 0
-    history = [0]
-    classes: Optional[set[PowerClassId]] = set() if collect else None
-    memo: dict[tuple[int, ...], int] = {}
-    while True:
-        restart = False
-        for a in iter_residues(field, m + M):
-            v = memo.get(a.coords)
-            if v is None:
-                value = F(a)
-                if not value:
-                    raise AssertionError("scan hit a zero value despite rootless input")
-                if collect:
-                    classes.add(class_of(value, field))
-                elif not is_pth_power(value, field):
-                    return m, tuple(history), (a, class_of(value, field)), classes
-                v = value.ord()
-                memo[a.coords] = v
-            if v > m:
-                m = v
-                _budget_guard(field, m, M, budget)
-                history.append(m)
-                restart = True
-                break
-        if not restart:
-            return m, tuple(history), None, classes
-
-
-def _scan(
-    F: IntPoly,
-    field: LocalField,
-    M: int,
-    budget: int,
-    threads: int,
-    collect: bool,
-    strategy: str,
-):
-    if strategy == "frontier":
-        return _scan_frontier(F, field, M, budget, threads, collect)
-    if strategy == "rescan":
-        return _scan_rescan(F, field, M, budget, collect)
-    raise ValueError(f"unknown scan strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +277,21 @@ def _nonvanishing_point(F: IntPoly, field: LocalField) -> OKElem:
         if F(a):
             return a
         n += 1
+
+
+def _zero_report(class_tested: str, M: int) -> DecisionReport:
+    """The zero polynomial is a member of both classes, since 0 = 0^p; no
+    point is scanned."""
+    return DecisionReport(
+        verdict=True,
+        class_tested=class_tested,
+        M=M,
+        final_m=0,
+        witness_count=0,
+        counterexample=None,
+        m_history=(),
+        bounds=None,
+    )
 
 
 def _constant_report(
@@ -394,20 +334,19 @@ def decide_CZ(
     field: LocalField,
     *,
     budget: int = DEFAULT_BUDGET,
-    strategy: str = "frontier",
-    threads: int = 1,
 ) -> DecisionReport:
     """Does F map the whole valuation ring into the p-th powers?
 
-    Precondition: F nonzero, p-th-power-free, and without roots in the
-    valuation ring.  The scan starts from the representatives modulo the
-    M-th ideal power and refines any class whose value ord exceeds its
-    pinning level, so the final representative system has size
-    p^(f*(final_m + M)) = witness_count.
+    Precondition: F p-th-power-free and without roots in the valuation
+    ring; the zero polynomial is a member (0 is a p-th power).  The scan
+    starts from the representatives modulo the M-th ideal power and refines
+    any class whose value ord exceeds its pinning level, so the final
+    representative system has size p^(f*(final_m + M)) = witness_count.
     """
     _check_field(F, field)
+    M = threshold_k0(field)
     if F.is_zero:
-        raise ZeroPolynomial("membership is not defined for the zero polynomial")
+        return _zero_report("C_ZK", M)
     dec = squarefree_decompose(F)
     if any(mult >= field.p for _, mult in dec.factors):
         raise PreconditionNotPowerFree(
@@ -416,13 +355,10 @@ def decide_CZ(
     for G, _ in dec.factors:
         if roots_in_valuation_ring(G, field).exists:
             raise PreconditionRootInRing("polynomial has a root in the valuation ring")
-    M = threshold_k0(field)
     if F.degree == 0:
         return _constant_report(F.constant, field, "C_ZK", M, F)
     bounds = _scan_bounds(dec, F, field, M)
-    final_m, history, counterexample, _ = _scan(
-        F, field, M, budget, threads, collect=False, strategy=strategy
-    )
+    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
     return DecisionReport(
         verdict=counterexample is None,
         class_tested="C_ZK",
@@ -483,8 +419,6 @@ def decide_CK(
     field: LocalField,
     *,
     budget: int = DEFAULT_BUDGET,
-    strategy: str = "frontier",
-    threads: int = 1,
 ) -> DecisionReport:
     """Does F map the whole field into the p-th powers?
 
@@ -497,16 +431,7 @@ def decide_CK(
     _check_field(F, field)
     M = threshold_k0(field)
     if F.is_zero:
-        return DecisionReport(
-            verdict=True,
-            class_tested="C_K",
-            M=M,
-            final_m=0,
-            witness_count=0,
-            counterexample=None,
-            m_history=(),
-            bounds=None,
-        )
+        return _zero_report("C_K", M)
     reduced = reduce_power_free(F, field.p)
     if reduced.degree == 0:
         return _constant_report(reduced.constant, field, "C_K", M, F)
@@ -522,7 +447,7 @@ def decide_CK(
             m_history=(),
             bounds=None,
         )
-    direct = decide_CZ(reduced, field, budget=budget, strategy=strategy, threads=threads)
+    direct = decide_CZ(reduced, field, budget=budget)
     if not direct.verdict:
         return DecisionReport(
             verdict=False,
@@ -534,9 +459,7 @@ def decide_CK(
             m_history=direct.m_history,
             bounds=direct.bounds,
         )
-    rev = decide_CZ(
-        reciprocal(reduced), field, budget=budget, strategy=strategy, threads=threads
-    )
+    rev = decide_CZ(reciprocal(reduced), field, budget=budget)
     return DecisionReport(
         verdict=rev.verdict,
         class_tested="C_K",
@@ -554,8 +477,6 @@ def class_spectrum(
     field: LocalField,
     *,
     budget: int = DEFAULT_BUDGET,
-    strategy: str = "frontier",
-    threads: int = 1,
 ) -> tuple[set[PowerClassId], bool]:
     """The exact set of power classes attained by F on the whole field,
     plus whether the value 0 is attained (by a p-th-power factor's root;
@@ -582,10 +503,6 @@ def class_spectrum(
     M = threshold_k0(field)
     if reduced.degree % field.p != 0:
         return set(enumerate_classes(field)), attains_zero
-    _, _, _, direct = _scan(
-        reduced, field, M, budget, threads, collect=True, strategy=strategy
-    )
-    _, _, _, mirrored = _scan(
-        reciprocal(reduced), field, M, budget, threads, collect=True, strategy=strategy
-    )
+    _, _, _, direct = _scan(reduced, field, M, budget, collect=True)
+    _, _, _, mirrored = _scan(reciprocal(reduced), field, M, budget, collect=True)
     return direct | mirrored, attains_zero

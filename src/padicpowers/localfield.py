@@ -228,6 +228,10 @@ class LocalField:
             return OKElem(self, coords)
         vec = list(value)
         if len(vec) > self.degree:
+            if self.kind == BASE:
+                raise ValueError(
+                    f"an element of the base field has one coordinate, got {len(vec)}"
+                )
             vec = self._reduce_vec(vec)
         vec += [0] * (self.degree - len(vec))
         return OKElem(self, tuple(vec))

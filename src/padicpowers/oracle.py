@@ -5,6 +5,8 @@ beyond field arithmetic, so agreement between the two routes is evidence
 rather than tautology.  Depth must be at least ep/(p-1) + 1 for the power
 test and at least the scan's stability depth for the polynomial test; both
 grow exponentially with depth and are meant for small cases only.
+oracle_max_ord recomputes the largest value ord that a scan reports as
+final_m.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 from .errors import KTooLargeForMemory
 from .localfield import BASE, RESIDUE_CAP, LocalField, OKElem, iter_residues
 
-__all__ = ["oracle_decide", "oracle_is_pth_power"]
+__all__ = ["oracle_decide", "oracle_is_pth_power", "oracle_max_ord"]
 
 
 def _min_depth(field: LocalField) -> int:
@@ -67,3 +69,16 @@ def oracle_decide(F, field: LocalField, depth: int) -> bool:
         if not oracle_is_pth_power(_evaluate(F.coeffs, a, field), field, depth):
             return False
     return True
+
+
+def oracle_max_ord(F, field: LocalField, depth: int) -> int:
+    """Largest min(ord F(a), depth) over the residues a modulo pi^depth.
+
+    When depth exceeds the largest ord F attains on the valuation ring plus
+    the scan threshold, this is that largest ord, the final_m a certified
+    scan of a member must report.
+    """
+    return max(
+        min(_evaluate(F.coeffs, a, field).ord(), depth)
+        for a in iter_residues(field, depth)
+    )

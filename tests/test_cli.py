@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
 from padicpowers import IntPoly, make_field, BASE, EISENSTEIN
-from padicpowers.cli import _parse_poly_expr, run
+from padicpowers.cli import MAX_EXPONENT, _parse_poly_expr, run
 
 
 def invoke(capsys, *argv):
@@ -51,6 +52,20 @@ def test_expr_parser_usage_errors(capsys):
     assert "usage" in err
 
 
+def test_exponent_limit_is_usage_error(capsys):
+    # the limit is checked before expansion, so a huge exponent fails at once
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "x^99999999999")
+    assert time.perf_counter() - t0 < 5
+    assert code == 64
+    assert "exponent limit" in err
+    # nested powers are bounded by the degree they would reach
+    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "((x+1)^10)^11")
+    assert code == 64
+    Q2 = make_field(2, BASE)
+    assert _parse_poly_expr(f"x^{MAX_EXPONENT}", Q2).degree == MAX_EXPONENT
+
+
 # --- exit codes
 
 
@@ -83,6 +98,15 @@ def test_exit_code_usage(capsys):
     assert invoke(capsys, "decide", "--p", "2")[0] == 64
     assert invoke(capsys, "unknown-command")[0] == 64
     assert invoke(capsys, "decide", "--p", "2", "--poly", "x", "--ring", "nope")[0] == 64
+    for flag in (("--threads", "2"), ("--strategy", "rescan")):
+        assert invoke(capsys, "decide", "--p", "2", "--poly", "x^2+7", *flag)[0] == 64
+
+
+def test_check_power_extra_coordinates_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "check-power", "--p", "2", "--value", "1,2", "--json")
+    assert code == 64
+    assert out == ""
+    assert "one coordinate" in err
 
 
 def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
@@ -210,13 +234,6 @@ def test_json_round_trip(capsys):
     _, out, _ = invoke(capsys, "decide", "--p", "2", "--poly", "x^2-3", "--json")
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
-
-
-def test_threads_do_not_change_output(capsys):
-    args = ["decide", "--p", "2", "--poly", "4x^4+4x^2+9", "--json"]
-    _, single, _ = invoke(capsys, *args, "--threads", "1")
-    _, many, _ = invoke(capsys, *args, "--threads", "8")
-    assert _strip_timing(single) == _strip_timing(many)
 
 
 def test_repeated_runs_identical(capsys):

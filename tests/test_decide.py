@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,11 @@ from padicpowers import (
     decide_CZ,
     enumerate_classes,
     krasner_upper_bound,
+    make_ck_not_power,
+    make_cz_not_ck,
     necessary_conditions,
     oracle_decide,
+    oracle_max_ord,
     reciprocal,
     witness_bounds,
 )
@@ -74,25 +78,12 @@ def test_cz_preconditions(Q2):
         decide_CZ(P(Q2, 0, 0, 1), Q2)
     with pytest.raises(PreconditionRootInRing):
         decide_CZ(P(Q2, 0, -1, 1), Q2)
+    # 0 = 0^p: both deciders report the zero polynomial as a member
+    zero = IntPoly(Q2, ())
+    assert decide_CZ(zero, Q2) == replace(decide_CK(zero, Q2), class_tested="C_ZK")
+    assert decide_CZ(zero, Q2).verdict
     with pytest.raises(ZeroPolynomial):
-        decide_CZ(IntPoly(Q2, ()), Q2)
-
-
-def test_cz_strategies_agree(Q2, Q3):
-    for field, coeffs in ((Q2, (1, 8)), (Q2, (36, 0, 16, 0, 16)), (Q3, (1, 0, 0, 27))):
-        fast = decide_CZ(IntPoly(field, coeffs), field, strategy="frontier")
-        slow = decide_CZ(IntPoly(field, coeffs), field, strategy="rescan")
-        assert (fast.verdict, fast.final_m, fast.witness_count) == (
-            slow.verdict,
-            slow.final_m,
-            slow.witness_count,
-        )
-
-
-def test_cz_threads_identical(Q2):
-    single = decide_CZ(P(Q2, 36, 0, 16, 0, 16), Q2, threads=1)
-    parallel = decide_CZ(P(Q2, 36, 0, 16, 0, 16), Q2, threads=4)
-    assert single == parallel
+        class_spectrum(zero, Q2)
 
 
 # --- decide_CK fixtures
@@ -220,16 +211,37 @@ def test_ck_reciprocal_symmetry_on_random_suite(Q2, Q3):
         assert decide_CK(F, field).verdict == decide_CK(reciprocal(F), field).verdict
 
 
-def test_cz_strategies_agree_on_random_suite(Q2):
-    suite = rootless_power_free_suite([Q2], 15, seed=103, max_degree=3, height=6)
-    for field, F in suite:
-        fast = decide_CZ(F, field, strategy="frontier")
-        slow = decide_CZ(F, field, strategy="rescan")
-        assert (fast.verdict, fast.final_m, fast.witness_count) == (
-            slow.verdict,
-            slow.final_m,
-            slow.witness_count,
-        )
+def test_cz_final_m_matches_oracle(Q2, Q3, E2):
+    # A member's scan visits every class, so final_m is the largest ord F
+    # attains on the ring; a non-member's final_m depends on scan order.
+    cases = rootless_power_free_suite([Q2, Q3], 30, seed=97)
+    cases += rootless_power_free_suite([Q2], 15, seed=103, max_degree=3, height=6)
+    cases.append((Q2, P(Q2, 36, 0, 16, 0, 16)))
+    cases += [(field, make_cz_not_ck(field)) for field in (Q2, Q3, E2)]
+    # the reciprocals of field-wide members attain ord 2 or 3 on the ring
+    for field, m in ((Q2, 3), (Q3, 2), (E2, 5)):
+        cases.append((field, reciprocal(make_ck_not_power(field, m))))
+    members = 0
+    for field, F in cases:
+        report = decide_CZ(F, field)
+        if not report.verdict:
+            continue
+        depth = report.final_m + report.M + 1
+        assert report.final_m == oracle_max_ord(F, field, depth) < depth, str(F)
+        members += 1
+    assert members == 8
+
+
+def test_cz_final_m_found_below_first_level(Q2):
+    # G = (x - 8)^2 + 2^7 has ord 7 exactly on x = 8 mod 16 and less elsewhere,
+    # and 2^17 / G^2 has ord >= 3, so F = G^2 + 2^17 is a member whose largest
+    # ord, 14, lies only below the first scan level 2^M = 8
+    G = P(Q2, 8 * 8 + 2**7, -16, 1)
+    F = G * G + P(Q2, 2**17)
+    report = decide_CZ(F, Q2)
+    assert report.verdict
+    assert report.m_history == (0, 12, 14)
+    assert report.final_m == oracle_max_ord(F, Q2, 15) == 14
 
 
 # --- class spectrum

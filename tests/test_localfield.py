@@ -172,3 +172,9 @@ def test_element_reduction_by_defining_poly(E2, U2):
     u = U2.generator()
     assert u * u == U2.element((-1, -1))
     assert E2.element((0, 0, 1)) == E2.element(2)
+
+
+def test_base_field_element_takes_one_coordinate(Q2):
+    assert Q2.element((5,)) == Q2.element(5)
+    with pytest.raises(ValueError, match="one coordinate"):
+        Q2.element((1, 2))
