@@ -21,6 +21,8 @@ from padicpowers import (
     decide_CK,
     decide_CZ,
     enumerate_classes,
+    is_pth_power,
+    iter_residues,
     krasner_upper_bound,
     make_ck_not_power,
     make_cz_not_ck,
@@ -28,12 +30,37 @@ from padicpowers import (
     oracle_decide,
     oracle_max_ord,
     reciprocal,
+    threshold_k0,
     witness_bounds,
 )
 
 
 def P(field, *coeffs):
     return IntPoly(field, coeffs)
+
+
+def rescan_CZ(F, field):
+    """Reference for decide_CZ's scan: on every increase of the running
+    maximum m, sweep the whole residue system modulo pi^(m + M) again.
+    Returns (verdict, final_m, witness_count) as decide_CZ reports them."""
+    M = threshold_k0(field)
+    m = 0
+    while True:
+        for a in iter_residues(field, m + M):
+            value = F(a)
+            if not is_pth_power(value, field):
+                return False, m, field.p ** (field.f * (m + M))
+            if value.ord() > m:
+                m = value.ord()
+                break
+        else:
+            return True, m, field.p ** (field.f * (m + M))
+
+
+def assert_cz_matches_rescan(F, field):
+    report = decide_CZ(F, field)
+    reported = (report.verdict, report.final_m, report.witness_count)
+    assert reported == rescan_CZ(F, field), str(F)
 
 
 # --- decide_CZ fixtures
@@ -84,6 +111,12 @@ def test_cz_preconditions(Q2):
     assert decide_CZ(zero, Q2).verdict
     with pytest.raises(ZeroPolynomial):
         class_spectrum(zero, Q2)
+
+
+def test_cz_strategies_agree(Q2, Q3):
+    # the queue scan of decide_CZ against the literal full rescan
+    for field, coeffs in ((Q2, (1, 8)), (Q2, (36, 0, 16, 0, 16)), (Q3, (1, 0, 0, 27))):
+        assert_cz_matches_rescan(IntPoly(field, coeffs), field)
 
 
 # --- decide_CK fixtures
@@ -209,6 +242,12 @@ def test_ck_reciprocal_symmetry_on_random_suite(Q2, Q3):
         if not F.constant:
             continue
         assert decide_CK(F, field).verdict == decide_CK(reciprocal(F), field).verdict
+
+
+def test_cz_strategies_agree_on_random_suite(Q2):
+    suite = rootless_power_free_suite([Q2], 15, seed=103, max_degree=3, height=6)
+    for field, F in suite:
+        assert_cz_matches_rescan(F, field)
 
 
 def test_cz_final_m_matches_oracle(Q2, Q3, E2):
