@@ -21,12 +21,12 @@ from .errors import (
     MTooSmall,
     PreconditionNotMember,
     PreconditionRootInField,
+    PreconditionRootInRing,
     UnsupportedField,
 )
 from .localfield import BASE, LocalField
 from .polyring import IntPoly, reciprocal, reduce_power_free, squarefree_decompose
-from .powerclasses import is_pth_power
-from .roots import has_root_in_field, roots_in_valuation_ring
+from .roots import has_root_in_field
 
 __all__ = [
     "approximate_on_integers",
@@ -111,17 +111,13 @@ def _vp(n: int, p: int) -> int:
 
 
 def _assert_member(F: IntPoly, field: LocalField) -> None:
-    reduced = reduce_power_free(F, field.p)
-    if reduced.degree == 0:
-        if not is_pth_power(reduced.constant, field):
-            raise PreconditionNotMember("the reduced constant is not a p-th power")
-        return
-    for G, _ in squarefree_decompose(reduced).factors:
-        if roots_in_valuation_ring(G, field).exists:
-            raise PreconditionNotMember(
-                "the power-free part has a ring root; nearby values are not powers"
-            )
-    if not decide_CZ(reduced, field).verdict:
+    try:
+        report = decide_CZ(reduce_power_free(F, field.p), field)
+    except PreconditionRootInRing as exc:
+        raise PreconditionNotMember(
+            "the power-free part has a ring root; nearby values are not powers"
+        ) from exc
+    if not report.verdict:
         raise PreconditionNotMember("polynomial is not a member on the valuation ring")
 
 

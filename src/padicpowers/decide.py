@@ -34,8 +34,8 @@ from .localfield import BASE, LocalField, OKElem, iter_residues
 from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
+    _power_free_part,
     reciprocal,
-    reduce_power_free,
     resultant,
     squarefree_decompose,
 )
@@ -46,7 +46,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import has_root_in_field, roots_in_valuation_ring
+from .roots import _factor_has_root_in_field, _field_roots, _ring_roots, has_root_in_field
 
 __all__ = [
     "BoundsReport",
@@ -62,6 +62,9 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 Rational = Union[int, Fraction]
+
+# a square-free factor G of a polynomial, its multiplicity and Res(G, G')
+_Factor = tuple[IntPoly, int, OKElem]
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,12 @@ def krasner_upper_bound(F: IntPoly, field: LocalField) -> Fraction:
     res = resultant(F, F.derivative())
     if not res:
         raise NotSquareFree("polynomial has a repeated factor")
+    return _krasner(F, res)
+
+
+def _krasner(F: IntPoly, res: OKElem) -> Fraction:
+    """krasner_upper_bound of a square-free F of degree >= 2, given
+    res = Res(F, F')."""
     d = F.degree
     lc_ord = F.lc.ord()
     disc_ord = res.ord() - lc_ord
@@ -180,28 +189,31 @@ def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
     )
 
 
-def _scan_bounds(
-    dec: SquareFreeDecomposition, F: IntPoly, field: LocalField, M: int
-) -> BoundsReport:
+def _scan_bounds(F: IntPoly, factors: list[_Factor], field: LocalField, M: int) -> BoundsReport:
     """Bound package valid under the weaker scan precondition (no roots in
-    the valuation ring only).  Per-factor: a rootless linear factor attains
-    its maximal ord at 0; a factor of degree >= 2 contributes through its
-    own Krasner bound, clamped at 0 to absorb non-integral roots.  The
-    factor contributions combine through the decomposition identity, whose
-    leading coefficients cancel against c^p exactly.  cardA_log_p is the
-    log-size of the deepest witness system the scan can reach.
+    the valuation ring only), for F = lambda * prod G^mult over its
+    square-free factors.  Per-factor: a rootless linear factor has the
+    constant ord of its constant term on the ring; a factor of degree >= 2
+    exceeds ord lc(G) by at most deg(G) times its own Krasner bound, clamped
+    at 0 to absorb non-integral roots.  The factors' leading coefficients
+    cancel against lambda = lc(F) / prod lc(G)^mult exactly.  cardA_log_p
+    is the log-size of the deepest witness system the scan can reach.
     """
     bound = Fraction(F.lc.ord())
-    for G, mult in dec.factors:
+    rad = IntPoly(field, (1,))
+    for G, mult, res in factors:
+        rad = rad * G
         if G.degree == 1:
-            contribution = Fraction(G.constant.ord())
+            contribution = Fraction(G.constant.ord() - G.lc.ord())
         else:
-            kras = krasner_upper_bound(G, field)
-            contribution = G.lc.ord() + G.degree * max(kras, Fraction(0))
+            contribution = G.degree * max(_krasner(G, res), Fraction(0))
         bound += mult * contribution
-    bound -= field.p * field.element(dec.c).ord()
-    rad = _radical(dec, field)
-    kras_upper = krasner_upper_bound(rad, field) if rad.degree >= 2 else None
+    if rad.degree < 2:
+        kras_upper = None
+    elif len(factors) == 1:
+        kras_upper = _krasner(rad, factors[0][2])
+    else:
+        kras_upper = krasner_upper_bound(rad, field)
     card = Fraction(field.f * (math.floor(bound) + M))
     return BoundsReport(
         kras_upper=kras_upper,
@@ -329,6 +341,30 @@ def _constant_report(
     )
 
 
+def _cz_report(
+    F: IntPoly,
+    factors: list[_Factor],
+    field: LocalField,
+    M: int,
+    budget: int,
+    class_tested: str,
+) -> DecisionReport:
+    """Bounds and scan of a power-free F of degree >= 1 without ring roots,
+    given its square-free factors."""
+    bounds = _scan_bounds(F, factors, field, M)
+    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
+    return DecisionReport(
+        verdict=counterexample is None,
+        class_tested=class_tested,
+        M=M,
+        final_m=final_m,
+        witness_count=field.p ** (field.f * (final_m + M)),
+        counterexample=counterexample,
+        m_history=history,
+        bounds=bounds,
+    )
+
+
 def decide_CZ(
     F: IntPoly,
     field: LocalField,
@@ -352,23 +388,12 @@ def decide_CZ(
         raise PreconditionNotPowerFree(
             "apply reduce_power_free first: a factor has multiplicity >= p"
         )
-    for G, _ in dec.factors:
-        if roots_in_valuation_ring(G, field).exists:
-            raise PreconditionRootInRing("polynomial has a root in the valuation ring")
+    factors = [(G, mult, resultant(G, G.derivative())) for G, mult in dec.factors]
+    if any(_ring_roots(G, field, res.ord()).exists for G, _, res in factors):
+        raise PreconditionRootInRing("polynomial has a root in the valuation ring")
     if F.degree == 0:
         return _constant_report(F.constant, field, "C_ZK", M, F)
-    bounds = _scan_bounds(dec, F, field, M)
-    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
-    return DecisionReport(
-        verdict=counterexample is None,
-        class_tested="C_ZK",
-        M=M,
-        final_m=final_m,
-        witness_count=field.p ** (field.f * (final_m + M)),
-        counterexample=counterexample,
-        m_history=history,
-        bounds=bounds,
-    )
+    return _cz_report(F, factors, field, M, budget, "C_ZK")
 
 
 def _probe_near_root(
@@ -397,23 +422,6 @@ def _probe_near_root(
         level += 1
 
 
-def _root_counterexample(
-    F: IntPoly, reduced: IntPoly, field: LocalField
-) -> tuple[OKElem, PowerClassId]:
-    for G, _ in squarefree_decompose(reduced).factors:
-        report = roots_in_valuation_ring(G, field)
-        if report.exists:
-            return _probe_near_root(F, report.roots[0].truncation, field)
-        rev = reciprocal(G)
-        if rev.degree >= 1:
-            report = roots_in_valuation_ring(rev, field)
-            if report.exists:
-                return _probe_near_root(
-                    reciprocal(reduced), report.roots[0].truncation, field
-                )
-    raise AssertionError("root reported in the field but not located")
-
-
 def decide_CK(
     F: IntPoly,
     field: LocalField,
@@ -425,18 +433,32 @@ def decide_CK(
     Pipeline: strip p-th-power factors; a root of the reduced polynomial
     anywhere in the field refutes membership (witnessed near the root);
     otherwise membership holds iff both the reduced polynomial and its
-    reciprocal pass the valuation-ring scan.  The zero polynomial is a
-    member (0 is a p-th power).
+    reciprocal pass the valuation-ring scan.  F is decomposed once, and
+    each square-free factor and its reciprocal are searched for ring roots
+    once.  The zero polynomial is a member (0 is a p-th power).
     """
     _check_field(F, field)
     M = threshold_k0(field)
     if F.is_zero:
         return _zero_report("C_K", M)
-    reduced = reduce_power_free(F, field.p)
+    p = field.p
+    dec = squarefree_decompose(F)
+    reduced = _power_free_part(F, dec)
     if reduced.degree == 0:
         return _constant_report(reduced.constant, field, "C_K", M, F)
-    if has_root_in_field(reduced, field):
-        counterexample = _root_counterexample(F, reduced, field)
+    factors = [
+        (G, mult % p, resultant(G, G.derivative())) for G, mult in dec.factors if mult % p
+    ]
+    for G, _, res in factors:
+        ring, rev = _field_roots(G, field, res)
+        if ring.exists:
+            counterexample = _probe_near_root(F, ring.roots[0].truncation, field)
+        elif rev.exists:
+            counterexample = _probe_near_root(
+                reciprocal(reduced), rev.roots[0].truncation, field
+            )
+        else:
+            continue
         return DecisionReport(
             verdict=False,
             class_tested="C_K",
@@ -447,27 +469,22 @@ def decide_CK(
             m_history=(),
             bounds=None,
         )
-    direct = decide_CZ(reduced, field, budget=budget)
+    # no root in the field: in particular none in the ring, for the
+    # reduced polynomial and for its reciprocal, as the scans require
+    direct = _cz_report(reduced, factors, field, M, budget, "C_K")
     if not direct.verdict:
-        return DecisionReport(
-            verdict=False,
-            class_tested="C_K",
-            M=M,
-            final_m=direct.final_m,
-            witness_count=direct.witness_count,
-            counterexample=direct.counterexample,
-            m_history=direct.m_history,
-            bounds=direct.bounds,
-        )
-    rev = decide_CZ(reciprocal(reduced), field, budget=budget)
+        return direct
+    rev_m, rev_history, counterexample, _ = _scan(
+        reciprocal(reduced), field, M, budget, collect=False
+    )
     return DecisionReport(
-        verdict=rev.verdict,
+        verdict=counterexample is None,
         class_tested="C_K",
         M=M,
-        final_m=max(direct.final_m, rev.final_m),
-        witness_count=direct.witness_count + rev.witness_count,
-        counterexample=rev.counterexample,
-        m_history=tuple(sorted(set(direct.m_history) | set(rev.m_history))),
+        final_m=max(direct.final_m, rev_m),
+        witness_count=direct.witness_count + p ** (field.f * (rev_m + M)),
+        counterexample=counterexample,
+        m_history=tuple(sorted(set(direct.m_history) | set(rev_history))),
         bounds=direct.bounds,
     )
 
@@ -492,11 +509,13 @@ def class_spectrum(
     _check_field(F, field)
     if F.is_zero:
         raise ZeroPolynomial("the spectrum of the zero polynomial is not defined")
-    reduced = reduce_power_free(F, field.p)
-    attains_zero = has_root_in_field(F, field)
+    dec = squarefree_decompose(F)
+    reduced = _power_free_part(F, dec)
+    rooted = [mult for G, mult in dec.factors if _factor_has_root_in_field(G, field)]
+    attains_zero = bool(rooted)
     if reduced.degree == 0:
         return {class_of(reduced.constant, field)}, attains_zero
-    if has_root_in_field(reduced, field):
+    if any(mult % field.p for mult in rooted):
         raise PreconditionRootInField(
             "the power-free part has a root in the field; the scan cannot pin classes near it"
         )

@@ -1,11 +1,11 @@
 """Exact integer-coefficient polynomials over a local field model.
 
 Provides the polynomial plumbing the decision procedures sit on: reciprocal
-polynomials, Yun square-free decomposition with denominator clearing chosen
-so the cleared product differs from the input by an exact integer p-th power,
-p-th-power-free reduction, perfect-power detection and resultants.  All
-computations are exact; the fraction-field layer is private and every result
-that claims integrality is verified before it is returned.
+polynomials, Yun square-free decomposition into factors cleared of
+denominators, p-th-power-free reduction that leaves power-free input as it
+is, perfect-power detection and resultants.  All computations are exact;
+the fraction-field layer is private and every result that claims
+integrality is verified before it is returned.
 """
 
 from __future__ import annotations
@@ -472,109 +472,19 @@ def _yun(a: tuple[_KElem, ...]) -> list[tuple[tuple[_KElem, ...], int]]:
 
 @dataclass(frozen=True)
 class SquareFreeDecomposition:
-    """c^p * F = lc * prod factor_i ^ mult_i, all sides exactly integral.
+    """c * F = lc * prod factor_i ^ mult_i, all sides exactly integral.
 
-    Factors have valuation-ring coefficients, are square-free and pairwise
-    coprime; c is a positive rational integer chosen by the denominator
-    clearing rule so that the identity balances with an exact integer p-th
-    power.  The identity is re-verified on construction.
+    lc is the leading coefficient of F.  Factors have valuation-ring
+    coefficients, are square-free and pairwise coprime; each is a monic Yun
+    factor cleared by the lcm of its coordinate denominators, so its
+    coordinates have no common divisor and c, the product of those lcms to
+    the multiplicities, is a positive rational integer.  The identity is
+    re-verified on construction.
     """
 
     lc: OKElem
     factors: tuple[tuple[IntPoly, int], ...]
     c: int
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3 * 10^24 with these witnesses
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        f = lambda v: (v * v + c) % n
-        while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise AssertionError(f"rho failed on {n}")  # pragma: no cover
-
-
-_FACTOR_CAP = 1 << 64
-
-
-def _factor_int(n: int) -> tuple[dict[int, int], int]:
-    """Factor n into primes plus a rough cofactor left whole.
-
-    Cofactors at or above _FACTOR_CAP are not worth a rho run; callers must
-    treat the rough part conservatively.
-    """
-    out: dict[int, int] = {}
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    rough = 1
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if m >= _FACTOR_CAP:
-            rough *= m
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out, rough
-
-
-def _clearing_exponents(s: int, mult: int, p: int) -> tuple[int, int]:
-    """Return (t, c_exponent_contribution) clearing denominator s at mult."""
-    if mult % p == 0:
-        # beta = alpha at every prime, so t = s and c_exp = s^(mult/p)
-        return s, s ** (mult // p)
-    t = 1
-    c_exp = 1
-    factors, rough = _factor_int(s)
-    for q, alpha in factors.items():
-        beta = p * ((alpha + p - 1) // p)
-        t *= q**beta
-        c_exp *= q ** (mult * beta // p)
-    if rough > 1:
-        # unfactored part: beta = p per prime exponent unit still clears, it
-        # is just not minimal; the decomposition identity stays exact
-        t *= rough**p
-        c_exp *= rough**mult
-    return t, c_exp
 
 
 def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
@@ -586,53 +496,70 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     if F.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     field = F.field
-    p = field.p
     lc = F.lc
     if F.degree == 0:
         return SquareFreeDecomposition(lc=lc, factors=(), c=1)
     monic = _kp_scale(_kp_from_int(F), _KElem.from_ok(lc).inverse())
-    raw = _yun(monic)
     factors: list[tuple[IntPoly, int]] = []
     c = 1
-    for h, mult in raw:
+    for h, mult in _yun(monic):
         s = 1
         for coeff in h:
             for coord in coeff.coords:
                 s = s * coord.denominator // math.gcd(s, coord.denominator)
-        t, c_exp = _clearing_exponents(s, mult, p)
-        c *= c_exp
-        cleared = [coeff.scale(t) for coeff in h]
-        ints = []
-        for coeff in cleared:
-            if not coeff.is_integral():  # pragma: no cover - clearing rule guarantees
-                raise AssertionError("denominator clearing failed")
-            ints.append(coeff.to_ok())
-        factors.append((IntPoly(field, ints), mult))
+        c *= s**mult
+        factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
     result = SquareFreeDecomposition(lc=lc, factors=tuple(factors), c=c)
     # always-on verification of the defining identity
-    lhs = F * (field.element(c) ** p)
     rhs = IntPoly(field, (lc,))
     for G, mult in result.factors:
         rhs = rhs * G**mult
-    if lhs != rhs:  # pragma: no cover - would indicate an internal bug
+    if F * c != rhs:  # pragma: no cover - would indicate an internal bug
         raise AssertionError("square-free decomposition identity failed")
     return result
+
+
+def _power_free_part(F: IntPoly, dec: SquareFreeDecomposition) -> IntPoly:
+    """reduce_power_free from a decomposition of F already at hand."""
+    field = F.field
+    p = field.p
+    if all(mult < p for _, mult in dec.factors):
+        return F
+    H = IntPoly(field, (1,))
+    R = IntPoly(field, (1,))
+    for G, mult in dec.factors:
+        H = H * G ** (mult // p)
+        R = R * G ** (mult % p)
+    # F = (lc / c) H^p R, and pi^k, the content of H, makes H / pi^k
+    # primitive, so F / (H / pi^k)^p = lc pi^(kp) R / c is integral by Gauss's
+    # lemma up to denominators prime to p, which d^p clears without moving
+    # the power class or ord
+    k = min(coeff.ord() for coeff in H.coeffs)
+    num = R * (dec.lc * field.uniformizer() ** (k * p))
+    d = 1
+    for coeff in num.coeffs:
+        for n in coeff.coords:
+            d = math.lcm(d, dec.c // math.gcd(n, dec.c))
+    if d % p == 0:  # pragma: no cover - Gauss's lemma rules this out
+        raise AssertionError("the power-free part is not integral")
+    scale = d**p
+    return IntPoly(
+        field,
+        [OKElem(field, tuple(n * scale // dec.c for n in coeff.coords)) for coeff in num.coeffs],
+    )
 
 
 def reduce_power_free(F: IntPoly, p: int) -> IntPoly:
     """Strip every p-th power factor: multiplicities are reduced mod p.
 
-    The result F_* satisfies: F and F_* take values in the same power class
-    at every point where neither vanishes.
+    A power-free F comes back unchanged.  Otherwise the result F_* is F
+    divided by a p-th power (H / pi^k)^p times a unit p-th power, so F and
+    F_* take values in the same power class at every point where neither
+    vanishes.
     """
     if p != F.field.p:
         raise ValueError("p must be the residue characteristic of the field")
-    dec = squarefree_decompose(F)
-    out = IntPoly(F.field, (dec.lc,))
-    for G, mult in dec.factors:
-        if mult % p:
-            out = out * G ** (mult % p)
-    return out
+    return _power_free_part(F, squarefree_decompose(F))
 
 
 def is_power_free(F: IntPoly, p: int) -> bool:
@@ -805,14 +732,12 @@ def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:
     W = IntPoly(field, (1,))
     for G, mult in dec.factors:
         W = W * G ** (mult // p)
+    # c = lc(W)^p, so F = lc * (W / lc(W))^p with the integer lc(W)
+    s = W.lc.coords[0]
     G = W * w
-    if dec.c != 1:
-        scaled = []
-        for coeff in G.coeffs:
-            if any(n % dec.c for n in coeff.coords):
-                return None
-            scaled.append(OKElem(field, tuple(n // dec.c for n in coeff.coords)))
-        G = IntPoly(field, scaled)
+    if any(n % s for coeff in G.coeffs for n in coeff.coords):
+        return None
+    G = IntPoly(field, [OKElem(field, tuple(n // s for n in coeff.coords)) for coeff in G.coeffs])
     if G**p != F:
         return None
     return G

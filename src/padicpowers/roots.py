@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .errors import NotSquareFree, ZeroPolynomial
 from .localfield import LocalField, OKElem, iter_residues
@@ -62,12 +62,17 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
         raise NotSquareFree("the zero polynomial is divisible by every square")
     if G.degree == 0:
         return PadicRootReport(exists=False, roots=(), search_depth_used=0)
-    deriv = G.derivative()
-    res = resultant(G, deriv)
+    res = resultant(G, G.derivative())
     if not res:
         raise NotSquareFree("polynomial has a repeated factor")
-    depth_max = 2 * res.ord() + 1
+    return _ring_roots(G, field, res.ord())
 
+
+def _ring_roots(G: IntPoly, field: LocalField, res_ord: int) -> PadicRootReport:
+    """The search of roots_in_valuation_ring for a square-free G of degree
+    at least 1, given res_ord = ord Res(G, G')."""
+    deriv = G.derivative()
+    depth_max = 2 * res_ord + 1
     frontier = [a for a in iter_residues(field, 1) if G(a).ord() >= 1]
     depth = 1
     pi = field.uniformizer()
@@ -102,17 +107,29 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
     return PadicRootReport(exists=True, roots=tuple(roots), search_depth_used=depth_max)
 
 
+def _field_roots(
+    G: IntPoly, field: LocalField, res: OKElem
+) -> tuple[PadicRootReport, Optional[PadicRootReport]]:
+    """Ring-root reports of a square-free factor G, given res = Res(G, G'),
+    and of its reciprocal, searched only when G has no ring root (else None).
+
+    Roots outside the ring invert to roots of the reciprocal inside the
+    maximal ideal.  Without a ring root G(0) != 0, so the reciprocal has G's
+    degree and discriminant and leading coefficient G(0): its resultant with
+    its derivative has ord ord(res) - ord lc(G) + ord G(0), and no second
+    resultant is needed.
+    """
+    ring = _ring_roots(G, field, res.ord())
+    if ring.exists:
+        return ring, None
+    rev_res_ord = res.ord() - G.lc.ord() + G.constant.ord()
+    return ring, _ring_roots(reciprocal(G), field, rev_res_ord)
+
+
 def _factor_has_root_in_field(G: IntPoly, field: LocalField) -> bool:
-    """Root of a square-free factor anywhere in the field: test the factor on
-    the valuation ring, then its reciprocal (roots outside the ring invert to
-    roots of the reciprocal inside the maximal ideal; the reciprocal's
-    constant term is lc(G) != 0, so no spurious root at zero)."""
-    if roots_in_valuation_ring(G, field).exists:
-        return True
-    rev = reciprocal(G)
-    if rev.degree >= 1 and roots_in_valuation_ring(rev, field).exists:
-        return True
-    return False
+    """Root of a square-free factor anywhere in the field."""
+    ring, rev = _field_roots(G, field, resultant(G, G.derivative()))
+    return ring.exists or rev.exists
 
 
 def has_root_in_field(F: IntPoly, field: LocalField) -> bool:

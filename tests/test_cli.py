@@ -135,9 +135,9 @@ def test_decide_payload_shape(capsys):
     assert payload["class"] == "C_K"
     assert payload["field"] == {"p": 2, "e": 1, "f": 1}
     assert payload["M"] == 3
-    assert payload["final_m"] == 4
-    assert payload["witness_count"] == 160
-    assert payload["m_history"] == [0, 2, 4]
+    assert payload["final_m"] == 2
+    assert payload["witness_count"] == 40
+    assert payload["m_history"] == [0, 2]
     assert payload["bounds"]["kras_upper"] == "14"
     assert "timing_ms" in payload
 

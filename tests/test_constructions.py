@@ -53,8 +53,10 @@ def test_make_ck_not_power_shapes(Q2, Q3):
         make_ck_not_power(Q3, 1)
 
 
-def test_make_ck_not_power_is_member_not_power(Q2, Q3):
-    for field, m in ((Q2, 3), (Q2, 4), (Q3, 2)):
+def test_make_ck_not_power_is_member_not_power(Q2, Q3, Q5):
+    # Q5, m = 2 needs the default budget only since the reduction stopped
+    # rescaling F by c^p with ord_5 c = 1
+    for field, m in ((Q2, 3), (Q2, 4), (Q3, 2), (Q5, 2)):
         F = make_ck_not_power(field, m)
         assert decide_CK(F, field).verdict
         assert resultant(F, F.derivative())

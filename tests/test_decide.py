@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import rootless_power_free_suite
+from padicpowers import decide as decide_module
+from padicpowers import polyring as polyring_module
+from padicpowers import roots as roots_module
 from padicpowers import (
     DegreeTooSmall,
     IntPoly,
@@ -28,6 +32,7 @@ from padicpowers import (
     make_cz_not_ck,
     necessary_conditions,
     oracle_decide,
+    oracle_is_pth_power,
     oracle_max_ord,
     reciprocal,
     threshold_k0,
@@ -123,11 +128,40 @@ def test_cz_strategies_agree(Q2, Q3):
 
 
 def test_ck_motivating_quartic(Q2):
-    report = decide_CK(P(Q2, 9, 0, 4, 0, 4), Q2)
+    F = P(Q2, 9, 0, 4, 0, 4)
+    report = decide_CK(F, Q2)
     assert report.verdict
     assert report.class_tested == "C_K"
-    assert (report.final_m, report.witness_count) == (4, 160)
-    assert report.m_history == (0, 2, 4)
+    # F attains ord at most 0 on the ring and its reciprocal ord at most 2,
+    # so the two scans reach 2^(0+3) and 2^(2+3) points
+    depth = report.final_m + report.M + 1
+    largest = max(oracle_max_ord(G, Q2, depth) for G in (F, reciprocal(F)))
+    assert report.final_m == largest
+    assert (report.final_m, report.witness_count) == (2, 40)
+    assert report.m_history == (0, 2)
+
+
+def test_ck_analyses_once(Q2, Q5, monkeypatch):
+    # one decomposition, one discriminant per factor (its reciprocal shares
+    # it) and one ring-root search for the factor and one for its reciprocal
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (decide_module, polyring_module, roots_module):
+        for name in ("squarefree_decompose", "resultant", "_ring_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # a member, scanned on both sides, and a polynomial with a root in the field
+    for field, F in ((Q2, P(Q2, 9, 0, 4, 0, 4)), (Q5, P(Q5, 2, 5))):
+        calls.clear()
+        decide_CK(F, field)
+        assert calls == {"squarefree_decompose": 1, "resultant": 1, "_ring_roots": 2}, str(F)
 
 
 def test_ck_rejects_via_reciprocal(Q2):
@@ -308,6 +342,38 @@ def test_spectrum_perfect_power(Q2):
     classes, attains_zero = class_spectrum(P(Q2, 0, 0, 1), Q2)
     assert {cls.label() for cls in classes} == {"1"}
     assert attains_zero
+
+
+def oracle_labels(F, field, depth):
+    """Labels of the classes that F and its reciprocal take on the residues
+    modulo pi^depth, each value classed by the oracle's power test."""
+    k0 = threshold_k0(field)
+    reps = [cls.rep for cls in enumerate_classes(field)]
+    labels = set()
+    for G in (F, reciprocal(F)):
+        for a in iter_residues(field, depth):
+            value = G(a)
+            same = (r for r in reps if oracle_is_pth_power(value * r ** (field.p - 1), field, k0))
+            labels.add(str(next(same)))
+    return labels
+
+
+def test_spectrum_matches_oracle(Q2, Q3):
+    # (x -+ 8)^2 + 2^15 takes the class of 2 only on x = +-8 mod 2^9, inside
+    # the first (last) child of the class 0 mod 8, which the scan refines
+    # from level 3 to level 9.  On the sextic, the classes 3 and 6 mod 9 of
+    # the first level have values of ord 2 = level - M + 2 in three power
+    # classes, so a scan that pinned there would lose a class.  Residues
+    # mod 2^10 and 3^4 reach every class of these polynomials.
+    cases = [
+        (Q2, P(Q2, 64 + 2**15, -16, 1), 10),
+        (Q2, P(Q2, 64 + 2**15, 16, 1), 10),
+        (Q3, P(Q3, 18, -18, 20, 0, -2, -9, 20), 4),
+    ]
+    for field, F, depth in cases:
+        classes, attains_zero = class_spectrum(F, field)
+        assert {cls.label() for cls in classes} == oracle_labels(F, field, depth), str(F)
+        assert not attains_zero
 
 
 def test_spectrum_requires_rootless_reduction(Q2):

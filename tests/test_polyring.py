@@ -13,11 +13,14 @@ from padicpowers import (
     ZeroPolynomial,
     is_perfect_pth_power_poly,
     is_power_free,
+    iter_residues,
     necessary_conditions,
+    oracle_is_pth_power,
     reciprocal,
     reduce_power_free,
     resultant,
     squarefree_decompose,
+    threshold_k0,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5)
@@ -95,19 +98,19 @@ def test_decompose_already_squarefree(Q2):
     dec = squarefree_decompose(F)
     assert dec.lc == Q2.element(4)
     assert dec.factors == ((F, 1),)
-    assert dec.c == Q2.element(2)
+    assert dec.c == 4  # 4F = 4 * F
 
 
 def test_decompose_clears_denominators(Q3, E2):
     dec = squarefree_decompose(P(Q3, 1, 6, 9))  # (3x+1)^2
     assert dec.lc == Q3.element(9)
-    assert dec.factors == ((P(Q3, 9, 27), 2),)
-    assert dec.c == Q3.element(9)
+    assert dec.factors == ((P(Q3, 1, 3), 2),)
+    assert dec.c == 9  # 9F = 9 * (3x + 1)^2
     t = E2.generator()
     dec2 = squarefree_decompose(IntPoly(E2, (1, 2 * t, 2)))  # (tx+1)^2
     assert dec2.lc == E2.element(2)
     assert dec2.factors == ((IntPoly(E2, (t, 2)), 2),)
-    assert dec2.c == E2.element(2)
+    assert dec2.c == 4  # 4F = 2 * (2x + t)^2
 
 
 def test_decompose_multiplicity_order(Q3):
@@ -133,20 +136,50 @@ def test_reduce_power_free_is_power_free(Q2, a):
 
 @given(a=coeff_lists)
 @settings(max_examples=100, deadline=None)
-def test_reduce_power_free_of_power_free_is_proportional(Q2, a):
-    # on a power-free input nothing is dropped, so the output is c^p F
+def test_reduce_power_free_of_power_free_is_identity(Q2, a):
     F = IntPoly(Q2, a)
-    if not F or F.degree == 0 or not is_power_free(F, 2):
+    if not F or not is_power_free(F, 2):
         return
-    dec = squarefree_decompose(F)
-    assert reduce_power_free(F, 2) == F * IntPoly(Q2, (dec.c * dec.c,))
+    assert reduce_power_free(F, 2) == F
 
 
-def test_reduce_power_free_fixtures(Q2, Q3):
+coord_pairs = st.lists(
+    st.tuples(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(which=st.integers(min_value=0, max_value=2), a=coord_pairs, b=coord_pairs)
+@settings(max_examples=120, deadline=None)
+def test_reduce_power_free_keeps_class(Q2, Q3, E2, which, a, b):
+    # F = A^p B and its reduction R take values in one power class wherever
+    # neither vanishes: F(x) R(x)^(p-1) = (F(x) / R(x)) R(x)^p is a p-th power
+    field = (Q2, Q3, E2)[which]
+    p = field.p
+
+    def poly(pairs):
+        return IntPoly(field, [pair if field.degree > 1 else pair[0] for pair in pairs])
+
+    A, B = poly(a), poly(b)
+    if not A or not B:
+        return
+    F = A**p * B
+    R = reduce_power_free(F, p)
+    assert is_power_free(R, p)
+    depth = threshold_k0(field)
+    for x in iter_residues(field, 2):
+        if F(x) and R(x):
+            assert oracle_is_pth_power(F(x) * R(x) ** (p - 1), field, depth), (str(F), x)
+
+
+def test_reduce_power_free_fixtures(Q2, Q3, E2):
     assert reduce_power_free(P(Q3, 0, 0, 0, 1, 1), 3) == P(Q3, 1, 1)
     assert reduce_power_free(P(Q2, 0, 0, 1), 2) == P(Q2, 1)
-    # the denominator-clearing constant c = 2 scales F by c^2
-    assert reduce_power_free(P(Q2, 9, 0, 4, 0, 4), 2) == P(Q2, 36, 0, 16, 0, 16)
+    assert reduce_power_free(P(Q2, 9, 0, 4, 0, 4), 2) == P(Q2, 9, 0, 4, 0, 4)
+    # (tx + 1)^2 = 2 (x + t/2)^2: dividing by 2^2 would leave ord 2
+    t = E2.generator()
+    assert reduce_power_free(IntPoly(E2, (1, 2 * t, 2)), 2) == IntPoly(E2, (1,))
 
 
 # --- necessary conditions
