@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .decide import decide_CK, decide_CZ, krasner_upper_bound
+from .decide import DEFAULT_BUDGET, _decide_CK, _krasner, _radical, decide_CZ
 from .errors import (
     DegreeTooSmall,
     KTooLargeForMemory,
@@ -25,8 +25,8 @@ from .errors import (
     UnsupportedField,
 )
 from .localfield import BASE, LocalField
-from .polyring import IntPoly, reciprocal, reduce_power_free, squarefree_decompose
-from .roots import has_root_in_field
+from .polyring import IntPoly, reciprocal, reduce_power_free, resultant, squarefree_decompose
+from .roots import _field_roots
 
 __all__ = [
     "approximate_on_integers",
@@ -70,25 +70,31 @@ def stability_radius(F: IntPoly, field: LocalField) -> int:
     The radius is ceil(d * U + ord(F_0 * F_d) + ep/(p-1)) where U bounds the
     Krasner constants of both the square-free part and its reciprocal; the
     reciprocal side is included because inverting the roots can enlarge
-    their pairwise distances when some roots are non-integral.
+    their pairwise distances when some roots are non-integral.  F is
+    decomposed once, and one Res(G, G') per factor serves the root test,
+    the membership decision and, for a single factor, both Krasner bounds.
     """
     if F.field != field:
         raise ValueError("polynomial belongs to a different field")
     if F.degree < 2:
         raise DegreeTooSmall("stability needs degree at least 2")
-    if has_root_in_field(F, field):
-        raise PreconditionRootInField("polynomial has a root in the field")
-    if not decide_CK(F, field).verdict:
+    dec = squarefree_decompose(F)
+    factors = [(G, mult, resultant(G, G.derivative())) for G, mult in dec.factors]
+    for G, _, res in factors:
+        ring, rev = _field_roots(G, field, res)
+        if ring.exists or rev.exists:
+            raise PreconditionRootInField("polynomial has a root in the field")
+    if not _decide_CK(F, dec, factors, field, DEFAULT_BUDGET).verdict:
         raise PreconditionNotMember("polynomial is not a member over the field")
-    rad = IntPoly(field, (1,))
-    for G, _ in squarefree_decompose(F).factors:
-        rad = rad * G
+    rad = _radical(dec, field)
     if rad.degree < 2:  # pragma: no cover - rootless radicals are never linear
         raise AssertionError("rootless polynomial with linear radical")
-    upper = max(
-        krasner_upper_bound(rad, field),
-        krasner_upper_bound(reciprocal(rad), field),
-    )
+    res = factors[0][2] if len(factors) == 1 else resultant(rad, rad.derivative())
+    # without a root at 0 the reciprocal has the radical's discriminant and
+    # leading coefficient rad(0)
+    res_ord = res.ord()
+    rev_res_ord = res_ord - rad.lc.ord() + rad.constant.ord()
+    upper = max(_krasner(rad, res_ord), _krasner(reciprocal(rad), rev_res_ord))
     p, e = field.p, field.e
     value = (
         F.degree * upper

@@ -131,15 +131,15 @@ def krasner_upper_bound(F: IntPoly, field: LocalField) -> Fraction:
     res = resultant(F, F.derivative())
     if not res:
         raise NotSquareFree("polynomial has a repeated factor")
-    return _krasner(F, res)
+    return _krasner(F, res.ord())
 
 
-def _krasner(F: IntPoly, res: OKElem) -> Fraction:
+def _krasner(F: IntPoly, res_ord: int) -> Fraction:
     """krasner_upper_bound of a square-free F of degree >= 2, given
-    res = Res(F, F')."""
+    res_ord = ord Res(F, F')."""
     d = F.degree
     lc_ord = F.lc.ord()
-    disc_ord = res.ord() - lc_ord
+    disc_ord = res_ord - lc_ord
     if lc_ord <= min(c.ord() for c in F.coeffs):
         return Fraction(disc_ord - (2 * d - 2) * lc_ord, 2)
     return Fraction(disc_ord + (d - 1) * (d - 2) * lc_ord, 2) - lc_ord
@@ -206,12 +206,12 @@ def _scan_bounds(F: IntPoly, factors: list[_Factor], field: LocalField, M: int) 
         if G.degree == 1:
             contribution = Fraction(G.constant.ord() - G.lc.ord())
         else:
-            contribution = G.degree * max(_krasner(G, res), Fraction(0))
+            contribution = G.degree * max(_krasner(G, res.ord()), Fraction(0))
         bound += mult * contribution
     if rad.degree < 2:
         kras_upper = None
     elif len(factors) == 1:
-        kras_upper = _krasner(rad, factors[0][2])
+        kras_upper = _krasner(rad, factors[0][2].ord())
     else:
         kras_upper = krasner_upper_bound(rad, field)
     card = Fraction(field.f * (math.floor(bound) + M))
@@ -438,17 +438,31 @@ def decide_CK(
     once.  The zero polynomial is a member (0 is a p-th power).
     """
     _check_field(F, field)
-    M = threshold_k0(field)
     if F.is_zero:
-        return _zero_report("C_K", M)
-    p = field.p
+        return _zero_report("C_K", threshold_k0(field))
     dec = squarefree_decompose(F)
+    factors = [
+        (G, mult, resultant(G, G.derivative())) for G, mult in dec.factors if mult % field.p
+    ]
+    return _decide_CK(F, dec, factors, field, budget)
+
+
+def _decide_CK(
+    F: IntPoly,
+    dec: SquareFreeDecomposition,
+    factors: list[_Factor],
+    field: LocalField,
+    budget: int,
+) -> DecisionReport:
+    """decide_CK of a nonzero F, given its decomposition and the factors
+    (G, mult, Res(G, G')) of dec, at least those whose multiplicity p does
+    not divide."""
+    M = threshold_k0(field)
+    p = field.p
     reduced = _power_free_part(F, dec)
     if reduced.degree == 0:
         return _constant_report(reduced.constant, field, "C_K", M, F)
-    factors = [
-        (G, mult % p, resultant(G, G.derivative())) for G, mult in dec.factors if mult % p
-    ]
+    factors = [(G, mult % p, res) for G, mult, res in factors if mult % p]
     for G, _, res in factors:
         ring, rev = _field_roots(G, field, res)
         if ring.exists:

@@ -220,7 +220,7 @@ class LocalField:
 
     def element(self, value: ElementLike) -> "OKElem":
         if isinstance(value, OKElem):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
@@ -265,6 +265,18 @@ class LocalField:
                     vec[i - n + j] -= c * g[j]
         return vec[:n]
 
+    def _mul_vec(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """Reduced coordinate tuple of the product of two coordinate vectors."""
+        n = self.degree
+        if n == 1:
+            return (a[0] * b[0],)
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        return tuple(self._reduce_vec(conv))
+
     # -- valuation ------------------------------------------------------------
 
     def ord(self, x: "OKElem") -> Union[int, float]:
@@ -297,7 +309,7 @@ class OKElem:
 
     def _coerce(self, other: ElementLike) -> "OKElem":
         if isinstance(other, OKElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed-field arithmetic")
             return other
         if isinstance(other, int):
@@ -331,16 +343,7 @@ class OKElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coords, o.coords
-        n = self.field.degree
-        if n == 1:
-            return OKElem(self.field, (a[0] * b[0],))
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return OKElem(self.field, tuple(self.field._reduce_vec(conv)))
+        return OKElem(self.field, self.field._mul_vec(self.coords, o.coords))
 
     __rmul__ = __mul__
 

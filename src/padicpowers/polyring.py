@@ -6,11 +6,19 @@ denominators, p-th-power-free reduction that leaves power-free input as it
 is, perfect-power detection and resultants.  All computations are exact;
 the fraction-field layer is private and every result that claims
 integrality is verified before it is returned.
+
+Evaluation, the inner loop of every scan, runs Horner on coordinates:
+plain integers over the base field, reduced coordinate tuples through
+LocalField._mul_vec over extensions.  Resultants over extensions use
+Bareiss elimination on the Sylvester matrix; each pivot is inverted once,
+as an integral cofactor d/b with d a rational integer, and every division
+by it is an exact integer division of the coordinates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -164,11 +172,18 @@ class IntPoly:
         return result
 
     def __call__(self, x: CoeffLike) -> OKElem:
-        x = self.field.element(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        xs = field.element(x).coords
+        if field.degree == 1:
+            xv, acc = xs[0], 0
+            for c in reversed(self.coeffs):
+                acc = acc * xv + c.coords[0]
+            return OKElem(field, (acc,))
+        coeffs = self.coeffs
+        vec = coeffs[-1].coords if coeffs else (0,) * field.degree
+        for c in reversed(coeffs[:-1]):
+            vec = tuple(map(operator.add, field._mul_vec(vec, xs), c.coords))
+        return OKElem(field, vec)
 
     def derivative(self) -> "IntPoly":
         return IntPoly(self.field, tuple(c * i for i, c in enumerate(self.coeffs) if i))
@@ -747,14 +762,16 @@ def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:
 # resultants via Bareiss elimination on the Sylvester matrix
 
 
-def _exact_div_elem(a: OKElem, b: OKElem) -> OKElem:
-    if a.field.degree == 1:
-        # Bareiss divisions are exact, so integer floor division is enough
-        return OKElem(a.field, (a.coords[0] // b.coords[0],))
-    q = _KElem.from_ok(a) * _KElem.from_ok(b).inverse()
-    if not q.is_integral():  # pragma: no cover - Bareiss guarantees exactness
-        raise AssertionError("inexact division inside Bareiss elimination")
-    return q.to_ok()
+def _exact_div_elem(a: OKElem, cofactor: tuple[int, ...], d: int) -> OKElem:
+    """a/b, given d/b = cofactor with d a rational integer, by exact integer
+    division of the coordinates of a * cofactor."""
+    quot = []
+    for n in a.field._mul_vec(a.coords, cofactor):
+        q, r = divmod(n, d)
+        if r:  # pragma: no cover - Bareiss guarantees exactness
+            raise AssertionError("inexact division inside Bareiss elimination")
+        quot.append(q)
+    return OKElem(a.field, tuple(quot))
 
 
 def _prem(A: list[int], B: list[int]) -> list[int]:
@@ -864,10 +881,15 @@ def resultant(F: IntPoly, G: IntPoly) -> OKElem:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
         pivot = rows[k][k]
+        # one inverse per pivot: d, the lcm of the denominators of 1/prev,
+        # makes the cofactor d/prev integral
+        inv = _KElem.from_ok(prev).inverse().coords
+        d = math.lcm(*(c.denominator for c in inv))
+        cofactor = tuple(int(c * d) for c in inv)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = _exact_div_elem(num, prev)
+                rows[i][j] = _exact_div_elem(num, cofactor, d)
             rows[i][k] = field.zero()
         prev = pivot
     det = rows[n - 1][n - 1]

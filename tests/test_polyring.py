@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicpowers import (
+    EISENSTEIN,
     IntPoly,
     ZeroPolynomial,
     is_perfect_pth_power_poly,
     is_power_free,
     iter_residues,
+    make_field,
     necessary_conditions,
     oracle_is_pth_power,
     reciprocal,
@@ -22,6 +25,7 @@ from padicpowers import (
     squarefree_decompose,
     threshold_k0,
 )
+from padicpowers.oracle import _evaluate
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5)
 
@@ -54,6 +58,49 @@ def test_intpoly_str(Q2, E2):
 
 def test_intpoly_height(Q2):
     assert P(Q2, 9, 0, -14, 1).height == 14
+
+
+big_coords = st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=3, max_size=3)
+
+
+@given(
+    which=st.integers(min_value=0, max_value=6),
+    coeffs=st.lists(big_coords, max_size=6),
+    point=big_coords,
+)
+@settings(max_examples=200, deadline=None)
+def test_eval_matches_oracle_horner(Q2, Q3, Q5, E2, U2, E2_cube, E3, which, coeffs, point):
+    # the coordinate Horner of IntPoly.__call__ against the oracle's own
+    # OKElem Horner, for element, coordinate-tuple and int arguments
+    field = (Q2, Q3, Q5, E2, U2, E2_cube, E3)[which]
+    n = field.degree
+    F = IntPoly(field, [c[:n] for c in coeffs])
+    x = field.element(point[:n])
+    value = F(x)
+    assert value.field is field
+    assert value.coords == _evaluate(F.coeffs, x, field).coords
+    assert F(tuple(point[:n])) == value
+    assert F(point[0]).coords == _evaluate(F.coeffs, field.element(point[0]), field).coords
+
+
+def test_eval_edge_cases(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
+        zero = IntPoly(field, ())
+        assert zero(7) == field.zero()
+        assert zero(7).coords == (0,) * field.degree
+        assert IntPoly(field, (5,))(field.uniformizer()) == field.element(5)
+    # an equal field built separately is the same field
+    twin = make_field(2, EISENSTEIN, (-2, 0, 1))
+    F = P(E2, 1, 0, 1)
+    assert F(twin.generator()) == F(E2.generator()) == E2.element(3)
+    for G, x in (
+        (F, U2.generator()),
+        (F, Q2.element(1)),
+        (P(Q2, 1, 1), Q3.element(1)),
+        (P(Q2, 1, 1), E2.generator()),
+    ):
+        with pytest.raises(ValueError):
+            G(x)
 
 
 @given(a=coeff_lists, b=coeff_lists, point=st.integers(min_value=-20, max_value=20))
@@ -302,3 +349,43 @@ def test_resultant_multiplicative(Q2, a, b, c):
     if not (F and G and H) or 0 in (F.degree, G.degree, H.degree):
         return
     assert resultant(F * G, H) == resultant(F, H) * resultant(G, H)
+
+
+def _leibniz_resultant(F, G):
+    """Determinant of the Sylvester matrix of F and G by the Leibniz
+    expansion, in plain OKElem arithmetic."""
+    field = F.field
+    m, n = F.degree, G.degree
+    zero = [field.zero()]
+    rows = [zero * i + list(F.coeffs[::-1]) + zero * (n - 1 - i) for i in range(n)]
+    rows += [zero * i + list(G.coeffs[::-1]) + zero * (m - 1 - i) for i in range(m)]
+    det = field.zero()
+    for perm in permutations(range(m + n)):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = field.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
+coord_pair = st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9))
+coord_lists = st.lists(coord_pair, min_size=1, max_size=5)
+
+
+@given(
+    which=st.integers(min_value=0, max_value=2), a=coord_lists, b=coord_lists, root=coord_pair
+)
+# over E2, 1 / (6 + 9t) has coordinate denominators 21 and 14, so a pivot
+# cofactor must scale by their lcm, not by either one
+@example(which=0, a=[(1, 0), (6, 9)], b=[(1, 0), (0, 0), (1, 1)], root=(0, 0))
+@settings(max_examples=120, deadline=None)
+def test_resultant_matches_leibniz_over_extensions(E2, U2, E3, which, a, b, root):
+    field = (E2, U2, E3)[which]
+    F, G = IntPoly(field, a), IntPoly(field, b)
+    if not F or not G or F.degree + G.degree > 5:
+        return
+    assert resultant(F, G) == _leibniz_resultant(F, G)
+    # Res(x - r, G) = G(r)
+    r = field.element(root)
+    assert resultant(IntPoly(field, (-r, 1)), G) == G(r)
