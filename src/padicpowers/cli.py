@@ -2,8 +2,8 @@
 
 Subcommands: decide, spectrum, classes, bounds, construct, approximate and
 check-power.  Exit codes: 0 computed, 2 precondition violated, 3 budget
-exceeded, 64 usage error.  Reports go to stdout (JSON with --json),
-diagnostics to stderr.
+or resource cap exceeded, 64 usage error.  Reports go to stdout (JSON
+with --json), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .decide import (
     decide_CZ,
     witness_bounds,
 )
-from .errors import PadicError, ScanBudgetExceeded
+from .errors import KTooLargeForMemory, PadicError, ScanBudgetExceeded
 from .localfield import BASE, EISENSTEIN, UNRAMIFIED, LocalField, OKElem, make_field
 from .polyring import IntPoly
 from .powerclasses import class_of, enumerate_classes, is_pth_power, threshold_k0
@@ -478,7 +478,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error (usage): {exc}\n")
         return 64
-    except ScanBudgetExceeded as exc:
+    except (ScanBudgetExceeded, KTooLargeForMemory) as exc:
         _report_error(exc, as_json)
         return 3
     except PadicError as exc:

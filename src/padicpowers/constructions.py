@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .decide import DEFAULT_BUDGET, _decide_CK, _krasner, _radical, decide_CZ
+from .decide import DEFAULT_BUDGET, _decide_CK, _decide_CZ, _krasner
 from .errors import (
     DegreeTooSmall,
     KTooLargeForMemory,
@@ -25,8 +25,8 @@ from .errors import (
     UnsupportedField,
 )
 from .localfield import BASE, LocalField
-from .polyring import IntPoly, reciprocal, reduce_power_free, resultant, squarefree_decompose
-from .roots import _field_roots
+from .polyring import IntPoly, reciprocal
+from .roots import _analyse
 
 __all__ = [
     "approximate_on_integers",
@@ -70,31 +70,22 @@ def stability_radius(F: IntPoly, field: LocalField) -> int:
     The radius is ceil(d * U + ord(F_0 * F_d) + ep/(p-1)) where U bounds the
     Krasner constants of both the square-free part and its reciprocal; the
     reciprocal side is included because inverting the roots can enlarge
-    their pairwise distances when some roots are non-integral.  F is
-    decomposed once, and one Res(G, G') per factor serves the root test,
-    the membership decision and, for a single factor, both Krasner bounds.
+    their pairwise distances when some roots are non-integral.  One record
+    of F serves the root test, the membership decision and both Krasner
+    bounds, so each factor and its reciprocal are searched for roots once.
     """
-    if F.field != field:
-        raise ValueError("polynomial belongs to a different field")
+    analysis = _analyse(F, field)
     if F.degree < 2:
         raise DegreeTooSmall("stability needs degree at least 2")
-    dec = squarefree_decompose(F)
-    factors = [(G, mult, resultant(G, G.derivative())) for G, mult in dec.factors]
-    for G, _, res in factors:
-        ring, rev = _field_roots(G, field, res)
-        if ring.exists or rev.exists:
-            raise PreconditionRootInField("polynomial has a root in the field")
-    if not _decide_CK(F, dec, factors, field, DEFAULT_BUDGET).verdict:
+    if analysis.has_field_root:
+        raise PreconditionRootInField("polynomial has a root in the field")
+    if not _decide_CK(analysis, DEFAULT_BUDGET).verdict:
         raise PreconditionNotMember("polynomial is not a member over the field")
-    rad = _radical(dec, field)
-    if rad.degree < 2:  # pragma: no cover - rootless radicals are never linear
-        raise AssertionError("rootless polynomial with linear radical")
-    res = factors[0][2] if len(factors) == 1 else resultant(rad, rad.derivative())
-    # without a root at 0 the reciprocal has the radical's discriminant and
-    # leading coefficient rad(0)
-    res_ord = res.ord()
-    rev_res_ord = res_ord - rad.lc.ord() + rad.constant.ord()
-    upper = max(_krasner(rad, res_ord), _krasner(reciprocal(rad), rev_res_ord))
+    # a rootless radical has degree at least 2: linear factors have roots
+    rad = analysis.radical
+    upper = max(
+        _krasner(rad.poly, rad.res_ord), _krasner(reciprocal(rad.poly), rad.rev_res_ord)
+    )
     p, e = field.p, field.e
     value = (
         F.degree * upper
@@ -118,7 +109,7 @@ def _vp(n: int, p: int) -> int:
 
 def _assert_member(F: IntPoly, field: LocalField) -> None:
     try:
-        report = decide_CZ(reduce_power_free(F, field.p), field)
+        report = _decide_CZ(_analyse(F, field).power_free, DEFAULT_BUDGET)
     except PreconditionRootInRing as exc:
         raise PreconditionNotMember(
             "the power-free part has a ring root; nearby values are not powers"

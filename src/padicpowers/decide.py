@@ -31,14 +31,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .localfield import BASE, LocalField, OKElem, iter_residues
-from .polyring import (
-    IntPoly,
-    SquareFreeDecomposition,
-    _power_free_part,
-    reciprocal,
-    resultant,
-    squarefree_decompose,
-)
+from .polyring import IntPoly, reciprocal, resultant
 from .powerclasses import (
     PowerClassId,
     class_of,
@@ -46,7 +39,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import _factor_has_root_in_field, _field_roots, _ring_roots, has_root_in_field
+from .roots import _analyse, _Analysis
 
 __all__ = [
     "BoundsReport",
@@ -62,9 +55,6 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 Rational = Union[int, Fraction]
-
-# a square-free factor G of a polynomial, its multiplicity and Res(G, G')
-_Factor = tuple[IntPoly, int, OKElem]
 
 
 @dataclass(frozen=True)
@@ -105,11 +95,6 @@ class DecisionReport:
     bounds: Optional[BoundsReport]
 
 
-def _check_field(F: IntPoly, field: LocalField) -> None:
-    if F.field != field:
-        raise ValueError("polynomial belongs to a different field")
-
-
 # ---------------------------------------------------------------------------
 # bound formulas
 
@@ -123,7 +108,8 @@ def krasner_upper_bound(F: IntPoly, field: LocalField) -> Fraction:
     are mapped through eta = lc * xi, whose minimal polynomial is monic with
     integral roots, and the bound is pulled back.
     """
-    _check_field(F, field)
+    if F.field != field:
+        raise ValueError("polynomial belongs to a different field")
     if F.is_zero:
         raise NotSquareFree("the zero polynomial is divisible by every square")
     if F.degree < 2:
@@ -145,13 +131,6 @@ def _krasner(F: IntPoly, res_ord: int) -> Fraction:
     return Fraction(disc_ord + (d - 1) * (d - 2) * lc_ord, 2) - lc_ord
 
 
-def _radical(dec: SquareFreeDecomposition, field: LocalField) -> IntPoly:
-    rad = IntPoly(field, (1,))
-    for G, _ in dec.factors:
-        rad = rad * G
-    return rad
-
-
 def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
     """Bound package for a polynomial with no roots anywhere in the field.
 
@@ -159,19 +138,18 @@ def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
     exponent efp/(p-1) + f*d*kras_upper + f*ord(lc).  Linear polynomials
     always have a field root, so they always raise.
     """
-    _check_field(F, field)
-    if has_root_in_field(F, field):
+    analysis = _analyse(F, field)
+    if analysis.has_field_root:
         raise PreconditionRootInField("polynomial has a root in the field")
     p, e, f = field.p, field.e, field.f
     d = F.degree
     lc_ord = F.lc.ord()
-    if F.degree == 0:
-        max_ord = Fraction(lc_ord)
-        kras: Optional[Fraction] = None
-    else:
-        rad = _radical(squarefree_decompose(F), field)
-        kras = krasner_upper_bound(rad, field)
-        max_ord = d * kras + lc_ord
+    kras: Optional[Fraction] = None
+    max_ord = Fraction(lc_ord)
+    if d >= 1:
+        rad = analysis.radical
+        kras = _krasner(rad.poly, rad.res_ord)
+        max_ord += d * kras
     card = Fraction(e * f * p, p - 1) + f * (max_ord - lc_ord) + f * lc_ord
     pejkovic: Optional[float] = None
     if field.kind == BASE and d >= 1:
@@ -189,7 +167,7 @@ def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
     )
 
 
-def _scan_bounds(F: IntPoly, factors: list[_Factor], field: LocalField, M: int) -> BoundsReport:
+def _scan_bounds(analysis: _Analysis, M: int) -> BoundsReport:
     """Bound package valid under the weaker scan precondition (no roots in
     the valuation ring only), for F = lambda * prod G^mult over its
     square-free factors.  Per-factor: a rootless linear factor has the
@@ -199,22 +177,17 @@ def _scan_bounds(F: IntPoly, factors: list[_Factor], field: LocalField, M: int) 
     cancel against lambda = lc(F) / prod lc(G)^mult exactly.  cardA_log_p
     is the log-size of the deepest witness system the scan can reach.
     """
-    bound = Fraction(F.lc.ord())
-    rad = IntPoly(field, (1,))
-    for G, mult, res in factors:
-        rad = rad * G
+    bound = Fraction(analysis.F.lc.ord())
+    for factor, mult in analysis.factors:
+        G = factor.poly
         if G.degree == 1:
             contribution = Fraction(G.constant.ord() - G.lc.ord())
         else:
-            contribution = G.degree * max(_krasner(G, res.ord()), Fraction(0))
+            contribution = G.degree * max(_krasner(G, factor.res_ord), Fraction(0))
         bound += mult * contribution
-    if rad.degree < 2:
-        kras_upper = None
-    elif len(factors) == 1:
-        kras_upper = _krasner(rad, factors[0][2].ord())
-    else:
-        kras_upper = krasner_upper_bound(rad, field)
-    card = Fraction(field.f * (math.floor(bound) + M))
+    rad = analysis.radical
+    kras_upper = _krasner(rad.poly, rad.res_ord) if rad.poly.degree >= 2 else None
+    card = Fraction(analysis.field.f * (math.floor(bound) + M))
     return BoundsReport(
         kras_upper=kras_upper,
         max_ord_bound=bound,
@@ -341,18 +314,12 @@ def _constant_report(
     )
 
 
-def _cz_report(
-    F: IntPoly,
-    factors: list[_Factor],
-    field: LocalField,
-    M: int,
-    budget: int,
-    class_tested: str,
-) -> DecisionReport:
+def _cz_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
     """Bounds and scan of a power-free F of degree >= 1 without ring roots,
-    given its square-free factors."""
-    bounds = _scan_bounds(F, factors, field, M)
-    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
+    given its record."""
+    field = analysis.field
+    bounds = _scan_bounds(analysis, M)
+    final_m, history, counterexample, _ = _scan(analysis.F, field, M, budget, collect=False)
     return DecisionReport(
         verdict=counterexample is None,
         class_tested=class_tested,
@@ -379,21 +346,24 @@ def decide_CZ(
     any class whose value ord exceeds its pinning level, so the final
     representative system has size p^(f*(final_m + M)) = witness_count.
     """
-    _check_field(F, field)
+    return _decide_CZ(_analyse(F, field), budget)
+
+
+def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
+    """decide_CZ of F, given its record."""
+    F, field = analysis.F, analysis.field
     M = threshold_k0(field)
     if F.is_zero:
         return _zero_report("C_ZK", M)
-    dec = squarefree_decompose(F)
-    if any(mult >= field.p for _, mult in dec.factors):
+    if any(mult >= field.p for _, mult in analysis.factors):
         raise PreconditionNotPowerFree(
             "apply reduce_power_free first: a factor has multiplicity >= p"
         )
-    factors = [(G, mult, resultant(G, G.derivative())) for G, mult in dec.factors]
-    if any(_ring_roots(G, field, res.ord()).exists for G, _, res in factors):
+    if any(factor.ring.exists for factor, _ in analysis.factors):
         raise PreconditionRootInRing("polynomial has a root in the valuation ring")
     if F.degree == 0:
         return _constant_report(F.constant, field, "C_ZK", M, F)
-    return _cz_report(F, factors, field, M, budget, "C_ZK")
+    return _cz_report(analysis, M, budget, "C_ZK")
 
 
 def _probe_near_root(
@@ -437,39 +407,26 @@ def decide_CK(
     each square-free factor and its reciprocal are searched for ring roots
     once.  The zero polynomial is a member (0 is a p-th power).
     """
-    _check_field(F, field)
-    if F.is_zero:
-        return _zero_report("C_K", threshold_k0(field))
-    dec = squarefree_decompose(F)
-    factors = [
-        (G, mult, resultant(G, G.derivative())) for G, mult in dec.factors if mult % field.p
-    ]
-    return _decide_CK(F, dec, factors, field, budget)
+    return _decide_CK(_analyse(F, field), budget)
 
 
-def _decide_CK(
-    F: IntPoly,
-    dec: SquareFreeDecomposition,
-    factors: list[_Factor],
-    field: LocalField,
-    budget: int,
-) -> DecisionReport:
-    """decide_CK of a nonzero F, given its decomposition and the factors
-    (G, mult, Res(G, G')) of dec, at least those whose multiplicity p does
-    not divide."""
+def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
+    """decide_CK of F, given its record."""
+    F, field = analysis.F, analysis.field
     M = threshold_k0(field)
+    if F.is_zero:
+        return _zero_report("C_K", M)
     p = field.p
-    reduced = _power_free_part(F, dec)
+    power_free = analysis.power_free
+    reduced = power_free.F
     if reduced.degree == 0:
         return _constant_report(reduced.constant, field, "C_K", M, F)
-    factors = [(G, mult % p, res) for G, mult, res in factors if mult % p]
-    for G, _, res in factors:
-        ring, rev = _field_roots(G, field, res)
-        if ring.exists:
-            counterexample = _probe_near_root(F, ring.roots[0].truncation, field)
-        elif rev.exists:
+    for factor, _ in power_free.factors:
+        if factor.ring.exists:
+            counterexample = _probe_near_root(F, factor.ring.roots[0].truncation, field)
+        elif factor.rev.exists:
             counterexample = _probe_near_root(
-                reciprocal(reduced), rev.roots[0].truncation, field
+                reciprocal(reduced), factor.rev.roots[0].truncation, field
             )
         else:
             continue
@@ -485,7 +442,7 @@ def _decide_CK(
         )
     # no root in the field: in particular none in the ring, for the
     # reduced polynomial and for its reciprocal, as the scans require
-    direct = _cz_report(reduced, factors, field, M, budget, "C_K")
+    direct = _cz_report(power_free, M, budget, "C_K")
     if not direct.verdict:
         return direct
     rev_m, rev_history, counterexample, _ = _scan(
@@ -520,12 +477,11 @@ def class_spectrum(
     the valuation ring are exactly the classes attained on the field,
     because x outside the ring contributes class(rev F_*(1/x)) there.
     """
-    _check_field(F, field)
+    analysis = _analyse(F, field)
     if F.is_zero:
         raise ZeroPolynomial("the spectrum of the zero polynomial is not defined")
-    dec = squarefree_decompose(F)
-    reduced = _power_free_part(F, dec)
-    rooted = [mult for G, mult in dec.factors if _factor_has_root_in_field(G, field)]
+    reduced = analysis.power_free.F
+    rooted = [mult for factor, mult in analysis.factors if factor.has_field_root]
     attains_zero = bool(rooted)
     if reduced.degree == 0:
         return {class_of(reduced.constant, field)}, attains_zero

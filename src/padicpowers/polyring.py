@@ -400,18 +400,6 @@ def _kp_sub(a, b):
     return _kp_add(a, tuple(-c for c in b))
 
 
-def _kp_mul(a, b):
-    if not a or not b:
-        return ()
-    field = a[0].field
-    out = [_kzero(field)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _kp_trim(out)
-
-
 def _kp_scale(a, k: _KElem):
     return _kp_trim([c * k for c in a])
 

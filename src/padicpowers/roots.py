@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Union
 
 from .errors import NotSquareFree, ZeroPolynomial
 from .localfield import LocalField, OKElem, iter_residues
-from .polyring import IntPoly, reciprocal, resultant, squarefree_decompose
+from .polyring import (
+    IntPoly,
+    SquareFreeDecomposition,
+    _power_free_part,
+    reciprocal,
+    resultant,
+    squarefree_decompose,
+)
 
 __all__ = [
     "PadicRootReport",
@@ -107,41 +115,97 @@ def _ring_roots(G: IntPoly, field: LocalField, res_ord: int) -> PadicRootReport:
     return PadicRootReport(exists=True, roots=tuple(roots), search_depth_used=depth_max)
 
 
-def _field_roots(
-    G: IntPoly, field: LocalField, res: OKElem
-) -> tuple[PadicRootReport, Optional[PadicRootReport]]:
-    """Ring-root reports of a square-free factor G, given res = Res(G, G'),
-    and of its reciprocal, searched only when G has no ring root (else None).
+class _SquareFree:
+    """A square-free factor G of degree >= 1 with ord Res(G, G') and the
+    ring-root reports of G and of its reciprocal, each found on first use."""
 
-    Roots outside the ring invert to roots of the reciprocal inside the
-    maximal ideal.  Without a ring root G(0) != 0, so the reciprocal has G's
-    degree and discriminant and leading coefficient G(0): its resultant with
-    its derivative has ord ord(res) - ord lc(G) + ord G(0), and no second
-    resultant is needed.
-    """
-    ring = _ring_roots(G, field, res.ord())
-    if ring.exists:
-        return ring, None
-    rev_res_ord = res.ord() - G.lc.ord() + G.constant.ord()
-    return ring, _ring_roots(reciprocal(G), field, rev_res_ord)
+    def __init__(self, poly: IntPoly, field: LocalField):
+        self.poly = poly
+        self.field = field
+
+    @cached_property
+    def res_ord(self) -> int:
+        return resultant(self.poly, self.poly.derivative()).ord()
+
+    @property
+    def rev_res_ord(self) -> int:
+        """ord Res of the reciprocal and its derivative: for G(0) != 0 the
+        reciprocal has G's degree and discriminant and leading coefficient
+        G(0), so no second resultant is needed."""
+        return self.res_ord - self.poly.lc.ord() + self.poly.constant.ord()
+
+    @cached_property
+    def ring(self) -> PadicRootReport:
+        return _ring_roots(self.poly, self.field, self.res_ord)
+
+    @cached_property
+    def rev(self) -> PadicRootReport:
+        """The inverses of G's roots outside the ring; asked for only when G
+        has no ring root, so that G(0) != 0."""
+        return _ring_roots(reciprocal(self.poly), self.field, self.rev_res_ord)
+
+    @property
+    def has_field_root(self) -> bool:
+        return self.ring.exists or self.rev.exists
 
 
-def _factor_has_root_in_field(G: IntPoly, field: LocalField) -> bool:
-    """Root of a square-free factor anywhere in the field."""
-    ring, rev = _field_roots(G, field, resultant(G, G.derivative()))
-    return ring.exists or rev.exists
+class _Analysis:
+    """The analysis record of F, shared by every entry point that analyses
+    F: its square-free decomposition, each factor's _SquareFree record and
+    multiplicity, and the radical, each found on first use.  The record of
+    the power-free part shares F's factor records."""
+
+    def __init__(self, F: IntPoly, field: LocalField):
+        self.F = F
+        self.field = field
+
+    @cached_property
+    def decomposition(self) -> SquareFreeDecomposition:
+        return squarefree_decompose(self.F)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[_SquareFree, int], ...]:
+        return tuple(
+            (_SquareFree(G, self.field), mult) for G, mult in self.decomposition.factors
+        )
+
+    @cached_property
+    def radical(self) -> _SquareFree:
+        """A single factor is its own radical and keeps its resultant."""
+        if len(self.factors) == 1:
+            return self.factors[0][0]
+        rad = IntPoly(self.field, (1,))
+        for factor, _ in self.factors:
+            rad = rad * factor.poly
+        return _SquareFree(rad, self.field)
+
+    @cached_property
+    def power_free(self) -> "_Analysis":
+        """The record of reduce_power_free(F): self when F is power-free."""
+        p = self.field.p
+        if all(mult < p for _, mult in self.factors):
+            return self
+        part = _Analysis(_power_free_part(self.F, self.decomposition), self.field)
+        # F's factor records, with multiplicities mod p: no second decomposition
+        part.factors = tuple((factor, mult % p) for factor, mult in self.factors if mult % p)
+        return part
+
+    @property
+    def has_field_root(self) -> bool:
+        if self.F.is_zero:
+            raise ZeroPolynomial("the zero polynomial vanishes everywhere")
+        return any(factor.has_field_root for factor, _ in self.factors)
+
+
+def _analyse(F: IntPoly, field: LocalField) -> _Analysis:
+    if F.field != field:
+        raise ValueError("polynomial belongs to a different field")
+    return _Analysis(F, field)
 
 
 def has_root_in_field(F: IntPoly, field: LocalField) -> bool:
     """True iff F has a root in the full field, tested factor by factor."""
-    if F.field != field:
-        raise ValueError("polynomial belongs to a different field")
-    if F.is_zero:
-        raise ZeroPolynomial("the zero polynomial vanishes everywhere")
-    return any(
-        _factor_has_root_in_field(G, field)
-        for G, _ in squarefree_decompose(F).factors
-    )
+    return _analyse(F, field).has_field_root
 
 
 def root_multiplicity_report(F: IntPoly, field: LocalField, p: int) -> str:
@@ -149,11 +213,10 @@ def root_multiplicity_report(F: IntPoly, field: LocalField, p: int) -> str:
     divisible by p, which certifies non-membership; "compliant" otherwise."""
     if p != field.p:
         raise ValueError("p must be the residue characteristic of the field")
-    if F.field != field:
-        raise ValueError("polynomial belongs to a different field")
+    analysis = _analyse(F, field)
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial is excluded")
-    for G, mult in squarefree_decompose(F).factors:
-        if mult % p and _factor_has_root_in_field(G, field):
+    for factor, mult in analysis.factors:
+        if mult % p and factor.has_field_root:
             return "violates"
     return "compliant"

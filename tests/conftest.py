@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from padicpowers import constructions, decide, polyring, roots
 from padicpowers import (
     BASE,
     EISENSTEIN,
@@ -58,6 +60,26 @@ def E3():
     # totally ramified: x^2 + 3, the field Q_3(sqrt -3), which contains the
     # cube roots of unity
     return make_field(3, EISENSTEIN, (3, 0, 1))
+
+
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Counts, by name, the decompositions, resultants and ring-root
+    searches run from any module of the library."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (constructions, decide, polyring, roots):
+        for name in ("squarefree_decompose", "resultant", "_ring_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 def rootless_power_free_suite(fields, count, *, max_degree=4, height=10, seed=SUITE_SEED):

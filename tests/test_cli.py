@@ -94,6 +94,17 @@ def test_exit_code_budget(capsys):
     assert json.loads(out)["error"]["reason"] == "scan-budget-exceeded"
 
 
+def test_exit_code_resource_cap(capsys):
+    # 2^13 residue points exceed the approximation's cap: a resource limit,
+    # not a failed precondition
+    code, out, err = invoke(
+        capsys, "approximate", "--p", "2", "--coeffs", "9,0,4,0,4", "--n", "13", "--json"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["reason"] == "k-too-large-for-memory"
+    assert "k-too-large-for-memory" in err
+
+
 def test_exit_code_usage(capsys):
     assert invoke(capsys, "decide", "--p", "2")[0] == 64
     assert invoke(capsys, "unknown-command")[0] == 64

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
-from padicpowers import constructions as constructions_module
-from padicpowers import decide as decide_module
-from padicpowers import polyring as polyring_module
-from padicpowers import roots as roots_module
 from padicpowers import (
     DegreeTooSmall,
     IntPoly,
@@ -88,35 +83,23 @@ def test_stability_radius_random_perturbations(Q2):
         assert decide_CK(G, Q2).verdict
 
 
-def test_stability_radius_analyses_once(Q2, Q3, E2, monkeypatch):
+def test_stability_radius_analyses_once(Q2, Q3, E2, analysis_calls):
     # one decomposition, and one Res(G, G') per factor for the root test,
     # the membership decision and the Krasner bounds of the radical and its
-    # reciprocal; several factors need one more resultant, of the radical
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    modules = (constructions_module, decide_module, polyring_module, roots_module)
-    for module in modules:
-        for name in ("squarefree_decompose", "resultant"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    # the criterion-9 members, their reciprocals (where the reciprocal's
+    # reciprocal; several factors need one more resultant, of the radical.
+    # Each factor and its reciprocal are searched for ring roots once.
+    # The criterion-9 members, their reciprocals (where the reciprocal's
     # Krasner bound is the larger one) and a two-factor member, with the
     # radii that a separate analysis for each use gives
-    cases = [(Q2, P(Q2, 9, 0, 4, 0, 4) * P(Q2, 1, 1, 1) ** 2, 228, 3)]
+    cases = [(Q2, P(Q2, 9, 0, 4, 0, 4) * P(Q2, 1, 1, 1) ** 2, 228, 3, 4)]
     for field, m, radius in ((Q2, 3, 60), (Q3, 2, 977), (E2, 5, 86)):
         F = make_ck_not_power(field, m)
-        cases += [(field, F, radius, 1), (field, reciprocal(F), radius, 1)]
-    for field, G, radius, resultants in cases:
-        calls.clear()
+        cases += [(field, F, radius, 1, 2), (field, reciprocal(F), radius, 1, 2)]
+    for field, G, radius, resultants, searches in cases:
+        analysis_calls.clear()
         assert stability_radius(G, field) == radius
-        assert calls == {"squarefree_decompose": 1, "resultant": resultants}, str(G)
+        expected = {"squarefree_decompose": 1, "resultant": resultants, "_ring_roots": searches}
+        assert analysis_calls == expected, str(G)
 
 
 def test_stability_radius_preconditions(Q2):

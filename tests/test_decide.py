@@ -21,10 +21,12 @@ from padicpowers import (
     PreconditionRootInRing,
     ScanBudgetExceeded,
     ZeroPolynomial,
+    approximate_on_integers,
     class_spectrum,
     decide_CK,
     decide_CZ,
     enumerate_classes,
+    has_root_in_field,
     is_pth_power,
     iter_residues,
     krasner_upper_bound,
@@ -35,6 +37,7 @@ from padicpowers import (
     oracle_is_pth_power,
     oracle_max_ord,
     reciprocal,
+    root_multiplicity_report,
     threshold_k0,
     witness_bounds,
 )
@@ -162,6 +165,38 @@ def test_ck_analyses_once(Q2, Q5, monkeypatch):
         calls.clear()
         decide_CK(F, field)
         assert calls == {"squarefree_decompose": 1, "resultant": 1, "_ring_roots": 2}, str(F)
+
+
+# entry point, its arguments after F and the field, and its decompositions,
+# resultants and ring-root searches: one decomposition each, one resultant
+# per factor plus one for a radical of several factors, and at most one
+# search per factor and one per reciprocal
+QUARTIC = (9, 0, 4, 0, 4)
+TWO_FACTOR = (9, 18, 31, 26, 25, 16, 16, 8, 4)  # the quartic times (x^2+x+1)^2
+NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
+
+
+@pytest.mark.parametrize(
+    "entry, args, field_name, coeffs, counts",
+    [
+        (witness_bounds, (), "Q2", QUARTIC, (1, 1, 2)),
+        (witness_bounds, (), "Q2", TWO_FACTOR, (1, 3, 4)),
+        (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 1, 1)),
+        (has_root_in_field, (), "Q2", QUARTIC, (1, 1, 2)),
+        (has_root_in_field, (), "Q2", (-17, 0, 1), (1, 1, 1)),
+        (root_multiplicity_report, (2,), "Q2", TWO_FACTOR, (1, 1, 2)),
+        (class_spectrum, (), "Q3", NONIC, (1, 1, 2)),
+        (class_spectrum, (), "Q2", TWO_FACTOR, (1, 2, 4)),
+        (decide_CZ, (), "Q2", QUARTIC, (1, 1, 1)),
+    ],
+)
+def test_entry_points_analyse_once(
+    entry, args, field_name, coeffs, counts, request, analysis_calls
+):
+    field = request.getfixturevalue(field_name)
+    entry(P(field, *coeffs), field, *args)
+    names = ("squarefree_decompose", "resultant", "_ring_roots")
+    assert analysis_calls == dict(zip(names, counts))
 
 
 def test_ck_rejects_via_reciprocal(Q2):
