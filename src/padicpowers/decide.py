@@ -4,9 +4,14 @@ decide_CZ settles whether every value of F on the valuation ring is a p-th
 power; decide_CK settles the same question over the whole field by combining
 the direct scan with the scan of the reciprocal polynomial.  class_spectrum
 generalizes the scan to report every power class the polynomial attains.
-All three run a certified finite scan: a residue class is pinned once the
-value's ord is at most its level minus the congruence threshold M, and the
-scan refines exactly the classes that are not yet pinned.
+All three run a certified finite scan over Taylor nodes: a residue class
+a + pi^L O_K carries the coefficients of F(a + pi^L y), and it is pinned
+once every higher coefficient has ord at least the constant term's ord plus
+the congruence threshold M, since F then keeps one ord and one power class
+on the whole class.  The scan splits exactly the classes that are not yet
+pinned, one level at a time.  witness_count is the size p^(f(final_m + M))
+of the residue system that certifies the verdict, an invariant of F, not
+the number of nodes visited.
 
 Quantitative bounds (the Krasner-constant upper bound, the witness-set
 cardinality exponent and the height-based exponent for integer inputs) are
@@ -16,7 +21,7 @@ computed from resultants and attached to every scan report.
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -34,6 +39,7 @@ from .localfield import BASE, LocalField, OKElem, iter_residues
 from .polyring import IntPoly, reciprocal, resultant
 from .powerclasses import (
     PowerClassId,
+    _moduli,
     class_of,
     enumerate_classes,
     is_pth_power,
@@ -212,43 +218,72 @@ def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
 def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     """Core scan.  Returns (final_m, m_history, counterexample, classes).
 
-    Every tested point a carries the level L of the residue class it
-    represents; the class is pinned once ord F(a) <= L - M, otherwise it is
-    refined to level ord F(a) + M and the new subclass representatives join
-    the queue.  Points leave the queue in FIFO order, so the visiting order,
-    and with it the whole report, is deterministic.
+    A node is a residue class a + pi^L O_K together with the coordinate
+    tuples of the coefficients c_k of G(y) = F(a + pi^L y).  When
+    min_{k>=1} ord c_k >= ord c_0 + M, F / c_0 lies in 1 + pi^M O_K on the
+    whole class, so every value there has the ord and the power class of
+    c_0 = F(a) and the node is pinned.  Otherwise the node splits into its
+    p^f children a + pi^L r at level L + 1; a child's coefficients are its
+    parent's shifted by r, with c_k then scaled by pi^k.  The scan starts
+    from (0, 0, F) and runs one level at a time, children in residue order,
+    so the visiting order, and with it the whole report, is deterministic.
+    c_0 is tested only at nodes whose point is new: the child r = 0
+    repeats its parent's point.
     """
     _budget_guard(field, 0, M, budget)
     m = 0
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
+    mul = field._mul_vec
+    digits = [(r, r.coords) for r in iter_residues(field, 1)]
     pi = field.uniformizer()
-    pi_pows: dict[int, OKElem] = {M: pi**M}
-    queue: deque[tuple[OKElem, int]] = deque((a, M) for a in iter_residues(field, M))
-    while queue:
-        a, level = queue.popleft()
-        value = F(a)
-        if not value:
-            raise AssertionError("scan hit a zero value despite rootless input")
-        if collect:
-            classes.add(class_of(value, field))
-        elif not is_pth_power(value, field):
-            return m, tuple(history), (a, class_of(value, field)), classes
-        v = value.ord()
-        if v > m:
-            m = v
-            _budget_guard(field, m, M, budget)
-            history.append(m)
-        if v > level - M:
-            target = v + M
-            shift = pi_pows.get(level)
-            if shift is None:
-                shift = pi**level
-                pi_pows[level] = shift
-            for r in iter_residues(field, target - level):
-                if r:
-                    queue.append((a + shift * r, target))
+    scales = [(pi**k).coords for k in range(F.degree + 1)]
+    shift = field.one()
+    # (point, coefficient coordinates, ord c_0 when the point was tested)
+    nodes: list[tuple[OKElem, list[tuple[int, ...]], Optional[int]]] = [
+        (field.zero(), [c.coords for c in F.coeffs], None)
+    ]
+    while nodes:
+        children = []
+        for a, coeffs, v in nodes:
+            if v is None:
+                value = OKElem(field, coeffs[0])
+                if not value:
+                    raise AssertionError("scan hit a zero value despite rootless input")
+                if collect:
+                    classes.add(class_of(value, field))
+                elif not is_pth_power(value, field):
+                    return m, tuple(history), (a, class_of(value, field)), classes
+                v = value.ord()
+                if v > m:
+                    m = v
+                    _budget_guard(field, m, M, budget)
+                    history.append(m)
+            # pinned when every c_k, k >= 1, lies in the lattice pi^(v + M) O_K
+            moduli = _moduli(field, v + M)
+            if all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
+                continue
+            for r, rc in digits:
+                shifted = _taylor_shift(coeffs, rc, field) if r else coeffs
+                scaled = [mul(c, s) for c, s in zip(shifted, scales)]
+                children.append((a + shift * r, scaled, None) if r else (a, scaled, v))
+        nodes = children
+        shift = shift * pi
     return m, tuple(history), None, classes
+
+
+def _taylor_shift(
+    coeffs: list[tuple[int, ...]], r: tuple[int, ...], field: LocalField
+) -> list[tuple[int, ...]]:
+    """Coefficient coordinates of G(y + r), by repeated synthetic division
+    of the coefficients c_k of G(y)."""
+    mul = field._mul_vec
+    c = list(coeffs)
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r)))
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +377,10 @@ def decide_CZ(
 
     Precondition: F p-th-power-free and without roots in the valuation
     ring; the zero polynomial is a member (0 is a p-th power).  The scan
-    starts from the representatives modulo the M-th ideal power and refines
-    any class whose value ord exceeds its pinning level, so the final
-    representative system has size p^(f*(final_m + M)) = witness_count.
+    splits residue classes until F's Taylor expansion pins each one; a
+    member's final_m is the largest ord F takes on the ring, and the
+    residue system modulo pi^(final_m + M), of size p^(f*(final_m + M)) =
+    witness_count, certifies the verdict.
     """
     return _decide_CZ(_analyse(F, field), budget)
 

@@ -474,8 +474,15 @@ def _check_residue_count(field: LocalField, k: int, cap: int | None) -> int:
 def iter_residues(field: LocalField, k: int, cap: int | None = None) -> Iterator[OKElem]:
     """Yield the p^(f*k) residue representatives modulo the k-th ideal power.
 
-    The ordering is deterministic (lexicographic in the digit vectors) and is
-    relied upon for canonical class representatives and counterexamples.
+    The ordering is deterministic and is relied upon for canonical class
+    representatives and counterexample points.  Over the base field the
+    representatives are the integers 0, ..., p^k - 1 in increasing order,
+    so the lowest p-adic digit varies fastest.  Over an unramified field
+    they are the coordinate vectors with entries in [0, p^k), lexicographic:
+    the last coordinate varies fastest, and within it the lowest p-adic
+    digit.  Over an Eisenstein field they are sum d_i pi^i with digits d_i
+    in [0, p), lexicographic in (d_0, ..., d_(k-1)), so the highest digit
+    varies fastest.
     """
     _check_residue_count(field, k, cap)
     p = field.p

@@ -22,6 +22,7 @@ from padicpowers import (
     ScanBudgetExceeded,
     ZeroPolynomial,
     approximate_on_integers,
+    class_of,
     class_spectrum,
     decide_CK,
     decide_CZ,
@@ -340,6 +341,55 @@ def test_cz_final_m_matches_oracle(Q2, Q3, E2):
     assert members == 8
 
 
+def test_cz_matches_oracle_on_extension_fields(U2, E2, E2_cube):
+    # The oracle confirms every verdict.  A member is checked by oracle_decide
+    # to depth final_m + M, where every class keeps one power class once
+    # final_m is the largest ord F attains, which oracle_max_ord confirms.
+    # A non-member is checked at its witness with the oracle's power test.
+    for field, count in ((U2, 40), (E2, 30), (E2_cube, 30)):
+        members = 0
+        for _, F in rootless_power_free_suite([field], count, seed=107):
+            report = decide_CZ(F, field)
+            if report.verdict:
+                depth = report.final_m + report.M
+                assert oracle_decide(F, field, depth), str(F)
+                assert report.final_m == oracle_max_ord(F, field, depth + 1), str(F)
+                members += 1
+            else:
+                point, _ = report.counterexample
+                assert not oracle_is_pth_power(F(point), field, report.M), str(F)
+        assert members > 0, field
+
+
+def assert_counterexample_holds(report, G, field):
+    """The reported class is the class of G at the reported point, and it is
+    not the class of the p-th powers."""
+    point, cls = report.counterexample
+    value = G(point)
+    assert value and not oracle_is_pth_power(value, field, threshold_k0(field))
+    assert class_of(value, field) == cls
+
+
+def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    # Counterexample points follow the scan's visiting order; wherever they
+    # fall, each must carry the class it reports.  decide_CK's witness lies
+    # on the reciprocal side when F has a root outside the ring or when the
+    # direct scan passes.
+    fields = [Q2, Q3, Q5, E2, U2, E2_cube, E3]
+    witnesses = 0
+    for field, F in rootless_power_free_suite(fields, 70, seed=109):
+        direct = decide_CZ(F, field)
+        if not direct.verdict:
+            assert_counterexample_holds(direct, F, field)
+            witnesses += 1
+        report = decide_CK(F, field)
+        if not report.verdict:
+            mirrored = has_root_in_field(F, field) or direct.verdict
+            assert_counterexample_holds(report, reciprocal(F) if mirrored else F, field)
+            witnesses += 1
+    assert witnesses > 70
+
+
 def test_cz_final_m_found_below_first_level(Q2):
     # G = (x - 8)^2 + 2^7 has ord 7 exactly on x = 8 mod 16 and less elsewhere,
     # and 2^17 / G^2 has ord >= 3, so F = G^2 + 2^17 is a member whose largest
@@ -350,6 +400,23 @@ def test_cz_final_m_found_below_first_level(Q2):
     assert report.verdict
     assert report.m_history == (0, 12, 14)
     assert report.final_m == oracle_max_ord(F, Q2, 15) == 14
+
+
+def test_member_scans_test_few_points(E2_cube, U2, monkeypatch):
+    # Taylor nodes pin each residue class as soon as F's expansion settles
+    # it, so the two scans of each member test only a few points: a point
+    # is tested once, at the first node that has it
+    tested = Counter()
+
+    def counted(x, field):
+        tested[field] += 1
+        return is_pth_power(x, field)
+
+    monkeypatch.setattr(decide_module, "is_pth_power", counted)
+    for field, m, count in ((E2_cube, 7, 10), (U2, 3, 11)):
+        report = decide_CK(make_ck_not_power(field, m), field)
+        assert report.verdict
+        assert tested[field] == count
 
 
 # --- class spectrum
@@ -407,6 +474,21 @@ def test_spectrum_matches_oracle(Q2, Q3):
     ]
     for field, F, depth in cases:
         classes, attains_zero = class_spectrum(F, field)
+        assert {cls.label() for cls in classes} == oracle_labels(F, field, depth), str(F)
+        assert not attains_zero
+
+
+def test_spectrum_matches_oracle_on_extensions(U2, E2):
+    # F and its reciprocal attain only ord 0 on the ring, so the residues
+    # mod pi^M reach every class of their values
+    cases = [
+        (U2, P(U2, -5, -8, -6, 9, 9)),
+        (E2, P(E2, 3, -9, -1)),
+    ]
+    for field, F in cases:
+        classes, attains_zero = class_spectrum(F, field)
+        depth = threshold_k0(field)
+        assert max(oracle_max_ord(G, field, depth) for G in (F, reciprocal(F))) == 0
         assert {cls.label() for cls in classes} == oracle_labels(F, field, depth), str(F)
         assert not attains_zero
 
