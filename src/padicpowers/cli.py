@@ -389,8 +389,14 @@ def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--coeffs", help="comma-separated integer coefficients, low degree first")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
 
 def _build_parser() -> _Parser:

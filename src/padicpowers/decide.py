@@ -21,7 +21,6 @@ computed from resultants and attached to every scan report.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -45,7 +44,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import _analyse, _Analysis
+from .roots import _analyse, _Analysis, _children
 
 __all__ = [
     "BoundsReport",
@@ -223,10 +222,10 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     min_{k>=1} ord c_k >= ord c_0 + M, F / c_0 lies in 1 + pi^M O_K on the
     whole class, so every value there has the ord and the power class of
     c_0 = F(a) and the node is pinned.  Otherwise the node splits into its
-    p^f children a + pi^L r at level L + 1; a child's coefficients are its
-    parent's shifted by r, with c_k then scaled by pi^k.  The scan starts
-    from (0, 0, F) and runs one level at a time, children in residue order,
-    so the visiting order, and with it the whole report, is deterministic.
+    p^f children a + pi^L r at level L + 1, built by roots._children, the
+    child routine of the ring-root search.  The scan starts from (0, 0, F)
+    and runs one level at a time, children in residue order, so the
+    visiting order, and with it the whole report, is deterministic.
     c_0 is tested only at nodes whose point is new: the child r = 0
     repeats its parent's point.
     """
@@ -234,10 +233,7 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     m = 0
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
-    mul = field._mul_vec
-    digits = [(r, r.coords) for r in iter_residues(field, 1)]
     pi = field.uniformizer()
-    scales = [(pi**k).coords for k in range(F.degree + 1)]
     shift = field.one()
     # (point, coefficient coordinates, ord c_0 when the point was tested)
     nodes: list[tuple[OKElem, list[tuple[int, ...]], Optional[int]]] = [
@@ -263,27 +259,11 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
             moduli = _moduli(field, v + M)
             if all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
                 continue
-            for r, rc in digits:
-                shifted = _taylor_shift(coeffs, rc, field) if r else coeffs
-                scaled = [mul(c, s) for c, s in zip(shifted, scales)]
-                children.append((a + shift * r, scaled, None) if r else (a, scaled, v))
+            split = _children(a, coeffs, shift, field)
+            children += [(b, c, None if i else v) for i, (b, c) in enumerate(split)]
         nodes = children
         shift = shift * pi
     return m, tuple(history), None, classes
-
-
-def _taylor_shift(
-    coeffs: list[tuple[int, ...]], r: tuple[int, ...], field: LocalField
-) -> list[tuple[int, ...]]:
-    """Coefficient coordinates of G(y + r), by repeated synthetic division
-    of the coefficients c_k of G(y)."""
-    mul = field._mul_vec
-    c = list(coeffs)
-    d = len(c) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r)))
-    return c
 
 
 # ---------------------------------------------------------------------------

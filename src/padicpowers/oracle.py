@@ -64,9 +64,13 @@ def oracle_is_pth_power(x: OKElem, field: LocalField, depth: int) -> bool:
 
 
 def oracle_decide(F, field: LocalField, depth: int) -> bool:
-    """True when F's value at every residue to depth is a p-th power."""
+    """True when F's value at every residue to depth is a p-th power, each
+    tested at the minimum depth k0, which is exact as 1 + m^k0 lies in K^p."""
+    k0 = _min_depth(field)
+    if depth < k0:
+        raise ValueError(f"depth must be at least {k0}")
     for a in iter_residues(field, depth):
-        if not oracle_is_pth_power(_evaluate(F.coeffs, a, field), field, depth):
+        if not oracle_is_pth_power(_evaluate(F.coeffs, a, field), field, k0):
             return False
     return True
 

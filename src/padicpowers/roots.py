@@ -1,22 +1,24 @@
 """Root existence in the valuation ring and in the full local field.
 
-The core search refines residue classes level by level: a class survives
-level k when the polynomial takes a value of ord at least k somewhere on it,
-represented by its centre.  The search runs to a fixed depth derived from
-ord of the resultant of G and G'; at that depth every surviving node
-satisfies the Hensel criterion, so existence is decided exactly and no
-"depth exhausted" state can occur.
+The search walks the membership scan's Taylor nodes: a class a + pi^L O_K
+with the coefficients c_k of G(a + pi^L y), from (0, 0, G) one level at a
+time.  By the Newton polygon, the class holds exactly k* roots of G over an
+algebraic closure, k* the largest index at which ord c_k is smallest (its
+Weierstrass degree).  k* = 0 prunes the node.  k* = 1 means one root, in K
+as the class is stable under conjugation, and once ord G(a) > 2 ord G'(a),
+Hensel's lemma gives a root within ord c_0 - ord c_1 + L >= L of a, which
+is that root.  Other nodes split; G is square-free, so the search ends.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 from .errors import NotSquareFree, ZeroPolynomial
-from .localfield import LocalField, OKElem, iter_residues
+from .localfield import LocalField, OKElem, residues
 from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
@@ -55,14 +57,14 @@ class PadicRootReport:
 def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
     """All roots of a square-free polynomial in the valuation ring.
 
-    Breadth-first refinement over residue levels 1, 2, ...: node a survives
-    level k iff ord(G(a)) >= k.  The search always runs to depth
-    D = 2*ord(Res(G, G')) + 1.  Any survivor a at that depth has
-    ord(G'(a)) <= ord(Res) by the Bezout identity, hence satisfies the
-    Hensel condition ord(G(a)) > 2*ord(G'(a)) and certifies a root.
-    Survivors are then grouped into genuine roots: two certified survivors
-    approximate the same root exactly when their G'-ords agree and their
-    difference has ord beyond that shared value.
+    A Taylor node (a, L, c_0..c_d), with c_k the coefficients of
+    G(a + pi^L y), is pruned when k* = 0, reports one root when k* = 1 and
+    ord G(a) > 2 ord G'(a), and is split otherwise, where k* is the largest
+    index at which ord c_k is smallest.  k* is the number of roots in the
+    class, and ord c_0 >= ord c_1 puts Hensel's root inside it, so each root
+    is reported once, with truncation a and precision ord c_0 - ord c_1 + L.
+    search_depth_used is the deepest level visited.  Res(G, G') only checks
+    that G is square-free.
     """
     if G.field != field:
         raise ValueError("polynomial belongs to a different field")
@@ -70,49 +72,54 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
         raise NotSquareFree("the zero polynomial is divisible by every square")
     if G.degree == 0:
         return PadicRootReport(exists=False, roots=(), search_depth_used=0)
-    res = resultant(G, G.derivative())
-    if not res:
+    if not resultant(G, G.derivative()):
         raise NotSquareFree("polynomial has a repeated factor")
-    return _ring_roots(G, field, res.ord())
+    return _ring_roots(G, field)
 
 
-def _ring_roots(G: IntPoly, field: LocalField, res_ord: int) -> PadicRootReport:
+def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     """The search of roots_in_valuation_ring for a square-free G of degree
-    at least 1, given res_ord = ord Res(G, G')."""
-    deriv = G.derivative()
-    depth_max = 2 * res_ord + 1
-    frontier = [a for a in iter_residues(field, 1) if G(a).ord() >= 1]
-    depth = 1
-    pi = field.uniformizer()
-    shift = pi
-    while depth < depth_max and frontier:
-        nxt = []
-        for a in frontier:
-            for r in iter_residues(field, 1):
-                b = a + shift * r
-                if G(b).ord() >= depth + 1:
-                    nxt.append(b)
-        frontier = nxt
-        shift = shift * pi
-        depth += 1
-    if not frontier:
-        return PadicRootReport(exists=False, roots=(), search_depth_used=depth)
-
+    at least 1."""
     roots: list[RootApproximation] = []
-    kept: list[tuple[OKElem, Union[int, float]]] = []
-    for a in frontier:
-        gamma = deriv(a).ord()
-        value_ord = G(a).ord()
-        if not value_ord > 2 * gamma:  # pragma: no cover - impossible at full depth
-            raise AssertionError("survivor at full depth failed the Hensel condition")
-        if any(g == gamma and (a - rep).ord() > gamma for rep, g in kept):
-            continue
-        kept.append((a, gamma))
-        precision = math.inf if value_ord == math.inf else value_ord - gamma
-        roots.append(
-            RootApproximation(truncation=a, precision=precision, certified_by_hensel=True)
-        )
-    return PadicRootReport(exists=True, roots=tuple(roots), search_depth_used=depth_max)
+    pi = field.uniformizer()
+    shift = field.one()
+    level = 0
+    nodes = [(field.zero(), [c.coords for c in G.coeffs])]
+    while nodes:
+        children = []
+        for a, coeffs in nodes:
+            ords = [OKElem(field, c).ord() for c in coeffs]
+            k_star = len(ords) - 1 - ords[::-1].index(min(ords))
+            if k_star == 1 and ords[0] > 2 * (ords[1] - level):
+                roots.append(RootApproximation(a, ords[0] - ords[1] + level, True))
+            elif k_star:  # a class with k* = 0 holds no root
+                children += _children(a, coeffs, shift, field)
+        nodes = children
+        shift = shift * pi
+        level += 1
+    return PadicRootReport(exists=bool(roots), roots=tuple(roots), search_depth_used=level - 1)
+
+
+def _children(a: OKElem, coeffs: list, shift: OKElem, field: LocalField) -> list:
+    """The p^f children of the Taylor node (a, L, coeffs), shift = pi^L: for
+    each digit r in iter_residues(field, 1) order, the point a + pi^L r and
+    the coefficients of G(a + pi^L (r + pi y)), which are the parent's
+    shifted by r, by repeated synthetic division, with c_k then scaled by
+    pi^k.  The first child, r = 0, keeps the point a and the value c_0."""
+    mul = field._mul_vec
+    d = len(coeffs) - 1
+    pi = field.uniformizer().coords
+    scales = [field.one().coords]
+    for _ in range(d):
+        scales.append(mul(scales[-1], pi))
+    out = []
+    for r in residues(field, 1):
+        c = list(coeffs)
+        for i in range(d if r else 0):
+            for j in range(d - 1, i - 1, -1):
+                c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
+        out.append((a + shift * r, [mul(x, s) for x, s in zip(c, scales)]))
+    return out
 
 
 class _SquareFree:
@@ -136,13 +143,13 @@ class _SquareFree:
 
     @cached_property
     def ring(self) -> PadicRootReport:
-        return _ring_roots(self.poly, self.field, self.res_ord)
+        return _ring_roots(self.poly, self.field)
 
     @cached_property
     def rev(self) -> PadicRootReport:
         """The inverses of G's roots outside the ring; asked for only when G
         has no ring root, so that G(0) != 0."""
-        return _ring_roots(reciprocal(self.poly), self.field, self.rev_res_ord)
+        return _ring_roots(reciprocal(self.poly), self.field)
 
     @property
     def has_field_root(self) -> bool:

@@ -94,6 +94,16 @@ def test_exit_code_budget(capsys):
     assert json.loads(out)["error"]["reason"] == "scan-budget-exceeded"
 
 
+def test_paper_member_over_q7_runs_out_of_budget(capsys):
+    # make_ck_not_power(Q_7, 2): the root search clears it at once, and the
+    # scan reaches final_m = 7, whose witness system 7^9 exceeds the budget
+    t0 = time.perf_counter()
+    code, out, _ = invoke(capsys, "decide", "--p", "7", "--poly", "(1+7x^7)^7+49", "--json")
+    assert time.perf_counter() - t0 < 10
+    assert code == 3
+    assert json.loads(out)["error"]["reason"] == "scan-budget-exceeded"
+
+
 def test_exit_code_resource_cap(capsys):
     # 2^13 residue points exceed the approximation's cap: a resource limit,
     # not a failed precondition
@@ -111,6 +121,13 @@ def test_exit_code_usage(capsys):
     assert invoke(capsys, "decide", "--p", "2", "--poly", "x", "--ring", "nope")[0] == 64
     for flag in (("--threads", "2"), ("--strategy", "rescan")):
         assert invoke(capsys, "decide", "--p", "2", "--poly", "x^2+7", *flag)[0] == 64
+    # a budget admits no scan unless it is positive
+    for budget in ("0", "-1"):
+        code, _, err = invoke(
+            capsys, "decide", "--p", "2", "--coeffs", "9,0,4,0,4", "--budget", budget
+        )
+        assert code == 64
+        assert "positive integer" in err
 
 
 def test_check_power_extra_coordinates_is_usage_error(capsys):

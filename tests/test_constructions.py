@@ -84,14 +84,16 @@ def test_stability_radius_random_perturbations(Q2):
 
 
 def test_stability_radius_analyses_once(Q2, Q3, E2, analysis_calls):
-    # one decomposition, and one Res(G, G') per factor for the root test,
-    # the membership decision and the Krasner bounds of the radical and its
-    # reciprocal; several factors need one more resultant, of the radical.
-    # Each factor and its reciprocal are searched for ring roots once.
+    # one decomposition, and one Res(G, G') per factor of the power-free
+    # part for the scan bounds of the membership decision, which a single
+    # factor shares with the Krasner bounds of the radical and its
+    # reciprocal; several factors need the resultant of the radical too.
+    # The root test takes no resultant, and each factor and its reciprocal
+    # are searched for ring roots once.
     # The criterion-9 members, their reciprocals (where the reciprocal's
     # Krasner bound is the larger one) and a two-factor member, with the
     # radii that a separate analysis for each use gives
-    cases = [(Q2, P(Q2, 9, 0, 4, 0, 4) * P(Q2, 1, 1, 1) ** 2, 228, 3, 4)]
+    cases = [(Q2, P(Q2, 9, 0, 4, 0, 4) * P(Q2, 1, 1, 1) ** 2, 228, 2, 4)]
     for field, m, radius in ((Q2, 3, 60), (Q3, 2, 977), (E2, 5, 86)):
         F = make_ck_not_power(field, m)
         cases += [(field, F, radius, 1, 2), (field, reciprocal(F), radius, 1, 2)]

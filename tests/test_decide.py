@@ -13,6 +13,7 @@ from padicpowers import decide as decide_module
 from padicpowers import polyring as polyring_module
 from padicpowers import roots as roots_module
 from padicpowers import (
+    BASE,
     DegreeTooSmall,
     IntPoly,
     NotSquareFree,
@@ -33,6 +34,7 @@ from padicpowers import (
     krasner_upper_bound,
     make_ck_not_power,
     make_cz_not_ck,
+    make_field,
     necessary_conditions,
     oracle_decide,
     oracle_is_pth_power,
@@ -146,8 +148,9 @@ def test_ck_motivating_quartic(Q2):
 
 
 def test_ck_analyses_once(Q2, Q5, monkeypatch):
-    # one decomposition, one discriminant per factor (its reciprocal shares
-    # it) and one ring-root search for the factor and one for its reciprocal
+    # one decomposition, one discriminant per factor for the scan bounds (its
+    # reciprocal shares it) and one ring-root search for the factor and one
+    # for its reciprocal
     calls = Counter()
 
     def counted(name, fn):
@@ -161,17 +164,20 @@ def test_ck_analyses_once(Q2, Q5, monkeypatch):
         for name in ("squarefree_decompose", "resultant", "_ring_roots"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    # a member, scanned on both sides, and a polynomial with a root in the field
-    for field, F in ((Q2, P(Q2, 9, 0, 4, 0, 4)), (Q5, P(Q5, 2, 5))):
+    # a member, scanned on both sides, and a polynomial with a root in the
+    # field, which needs no bounds and so no resultant
+    for field, F, resultants in ((Q2, P(Q2, 9, 0, 4, 0, 4), 1), (Q5, P(Q5, 2, 5), 0)):
         calls.clear()
         decide_CK(F, field)
-        assert calls == {"squarefree_decompose": 1, "resultant": 1, "_ring_roots": 2}, str(F)
+        expected = {"squarefree_decompose": 1, "resultant": resultants, "_ring_roots": 2}
+        assert calls == Counter(expected), str(F)
 
 
 # entry point, its arguments after F and the field, and its decompositions,
-# resultants and ring-root searches: one decomposition each, one resultant
-# per factor plus one for a radical of several factors, and at most one
-# search per factor and one per reciprocal
+# resultants and ring-root searches: one decomposition each, resultants only
+# for Krasner bounds (one per factor for the scan bounds, plus one for a
+# radical of several factors), and at most one search per factor and one
+# per reciprocal
 QUARTIC = (9, 0, 4, 0, 4)
 TWO_FACTOR = (9, 18, 31, 26, 25, 16, 16, 8, 4)  # the quartic times (x^2+x+1)^2
 NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
@@ -181,13 +187,13 @@ NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
     "entry, args, field_name, coeffs, counts",
     [
         (witness_bounds, (), "Q2", QUARTIC, (1, 1, 2)),
-        (witness_bounds, (), "Q2", TWO_FACTOR, (1, 3, 4)),
+        (witness_bounds, (), "Q2", TWO_FACTOR, (1, 1, 4)),
         (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 1, 1)),
-        (has_root_in_field, (), "Q2", QUARTIC, (1, 1, 2)),
-        (has_root_in_field, (), "Q2", (-17, 0, 1), (1, 1, 1)),
-        (root_multiplicity_report, (2,), "Q2", TWO_FACTOR, (1, 1, 2)),
-        (class_spectrum, (), "Q3", NONIC, (1, 1, 2)),
-        (class_spectrum, (), "Q2", TWO_FACTOR, (1, 2, 4)),
+        (has_root_in_field, (), "Q2", QUARTIC, (1, 0, 2)),
+        (has_root_in_field, (), "Q2", (-17, 0, 1), (1, 0, 1)),
+        (root_multiplicity_report, (2,), "Q2", TWO_FACTOR, (1, 0, 2)),
+        (class_spectrum, (), "Q3", NONIC, (1, 0, 2)),
+        (class_spectrum, (), "Q2", TWO_FACTOR, (1, 0, 4)),
         (decide_CZ, (), "Q2", QUARTIC, (1, 1, 1)),
     ],
 )
@@ -197,7 +203,7 @@ def test_entry_points_analyse_once(
     field = request.getfixturevalue(field_name)
     entry(P(field, *coeffs), field, *args)
     names = ("squarefree_decompose", "resultant", "_ring_roots")
-    assert analysis_calls == dict(zip(names, counts))
+    assert analysis_calls == Counter(dict(zip(names, counts)))
 
 
 def test_ck_rejects_via_reciprocal(Q2):
@@ -417,6 +423,36 @@ def test_member_scans_test_few_points(E2_cube, U2, monkeypatch):
         report = decide_CK(make_ck_not_power(field, m), field)
         assert report.verdict
         assert tested[field] == count
+
+
+def test_member_sweep_at_smallest_m(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch):
+    # make_ck_not_power at the smallest valid m, over every field the paper's
+    # construction is tested on.  F = (1 + pi x^p)^p + pi^m has a unit
+    # constant term and every other coefficient in pi O_K, so the root
+    # search prunes F's first node; the reciprocal (x^p + pi)^p + pi^m x^(p^2)
+    # has its p^2 roots near 0, so its first node splits once, and each
+    # child is pruned.  decide_CK then either decides or runs out of budget,
+    # never fails a precondition: over Q_7, Q_11 and Q_13 the scan reaches
+    # final_m = p, and p^(p + 2) exceeds the default budget.
+    splits = Counter()
+    children = roots_module._children
+
+    def counted(*args):
+        splits[args[-1]] += 1
+        return children(*args)
+
+    monkeypatch.setattr(roots_module, "_children", counted)
+    fields = [Q2, Q3, Q5] + [make_field(p, BASE) for p in (7, 11, 13)]
+    for field in fields + [E2, U2, E2_cube, E3]:
+        m = field.e * field.p // (field.p - 1) + 1
+        F = make_ck_not_power(field, m)
+        splits.clear()
+        assert not has_root_in_field(F, field)
+        assert splits == {field: 1}, field
+        try:
+            assert decide_CK(F, field).verdict, field
+        except ScanBudgetExceeded:
+            assert field.p >= 7, field
 
 
 # --- class spectrum

@@ -30,6 +30,8 @@ def test_power_fixtures(Q2, E2):
 def test_depth_guard(Q2):
     with pytest.raises(ValueError):
         oracle_is_pth_power(Q2.element(1), Q2, 2)
+    with pytest.raises(ValueError):
+        oracle_decide(P(Q2, 1, 8), Q2, 2)
 
 
 def test_decide_fixtures(Q2):
@@ -44,6 +46,15 @@ def test_power_depth_stability(Q2, Q3, E2):
         for x in iter_residues(field, k0):
             verdicts = {oracle_is_pth_power(x, field, d) for d in (k0, k0 + 1, k0 + 2)}
             assert len(verdicts) == 1
+
+
+def test_power_depth_stability_on_scaled_units(U2, E2, E3):
+    # oracle_decide tests every value at k0 alone, which is exact because
+    # 1 + m^k0 lies in the p-th powers: one level deeper agrees
+    for field in (U2, E2, E3):
+        k0 = threshold_k0(field)
+        for x in scaled_units(field):
+            assert oracle_is_pth_power(x, field, k0) == oracle_is_pth_power(x, field, k0 + 1)
 
 
 def test_decide_depth_stability(Q2):

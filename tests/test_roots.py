@@ -14,6 +14,7 @@ from padicpowers import (
     has_root_in_field,
     is_pth_power,
     ord,
+    residues,
     root_multiplicity_report,
     roots_in_valuation_ring,
 )
@@ -26,9 +27,9 @@ def P(field, *coeffs):
 def test_square_root_of_17_exists(Q2):
     report = roots_in_valuation_ring(P(Q2, -17, 0, 1), Q2)
     assert report.exists
-    assert report.search_depth_used == 5
+    assert report.search_depth_used == 2
     summary = [(str(r.truncation), r.precision) for r in report.roots]
-    assert summary == [("9", 5), ("7", 4)]
+    assert summary == [("1", 3), ("3", 2)]
     assert all(r.certified_by_hensel for r in report.roots)
 
 
@@ -36,7 +37,7 @@ def test_square_root_of_3_does_not_exist(Q2):
     report = roots_in_valuation_ring(P(Q2, -3, 0, 1), Q2)
     assert not report.exists
     assert report.roots == ()
-    assert report.search_depth_used == 2
+    assert report.search_depth_used == 1
 
 
 def test_linear_root(Q3):
@@ -58,7 +59,7 @@ def test_eisenstein_roots(E2):
     assert report.exists
     assert [(str(r.truncation), r.precision) for r in report.roots] == [
         ("t", math.inf),
-        ("31*t", 11),
+        ("3*t", 5),
     ]
 
 
@@ -123,3 +124,47 @@ def test_reported_roots_satisfy_hensel(Q2, coeffs):
         slope = G.derivative()(root.truncation)
         assert ord(value) > 2 * ord(slope)
         assert root.certified_by_hensel
+
+
+@given(
+    data=st.data(),
+    field_index=st.integers(min_value=0, max_value=6),
+    count=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_known_roots_are_found(Q2, Q3, Q5, E2, U2, E2_cube, E3, data, field_index, count):
+    # G = prod (x - r_i) over distinct r_i in the valuation ring: the search
+    # reports each r_i once, within the stated precision of exactly one
+    # Hensel-certified truncation; a factor pi^k x - u adds a root outside
+    # the ring, which only has_root_in_field sees
+    field = (Q2, Q3, Q5, E2, U2, E2_cube, E3)[field_index]
+    points = residues(field, 4)
+    picks = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(points) - 1),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    G = P(field, 1)
+    for i in picks:
+        G = G * P(field, -points[i], 1)
+    report = roots_in_valuation_ring(G, field)
+    assert report.exists
+    assert len(report.roots) == count
+    for i in picks:
+        near = [root for root in report.roots if ord(points[i] - root.truncation) >= root.precision]
+        assert len(near) == 1
+    slope = G.derivative()
+    for root in report.roots:
+        assert ord(G(root.truncation)) > 2 * ord(slope(root.truncation))
+        assert root.certified_by_hensel
+
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    unit = data.draw(st.sampled_from([u for u in residues(field, 1) if u]))
+    outer = P(field, -unit, field.uniformizer() ** k)
+    assert has_root_in_field(outer, field)
+    assert not roots_in_valuation_ring(outer, field).exists
+    assert has_root_in_field(G * outer, field)
+    assert len(roots_in_valuation_ring(G * outer, field).roots) == count
