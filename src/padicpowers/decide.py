@@ -205,6 +205,12 @@ def _scan_bounds(analysis: _Analysis, M: int) -> BoundsReport:
 # the certified scan
 
 
+def _check_budget(budget: int) -> None:
+    """A budget admits no scan unless it is positive: refuse it up front."""
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
+
+
 def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
     if field.p ** (field.f * (m + M)) > budget:
         raise ScanBudgetExceeded(
@@ -360,8 +366,10 @@ def decide_CZ(
     splits residue classes until F's Taylor expansion pins each one; a
     member's final_m is the largest ord F takes on the ring, and the
     residue system modulo pi^(final_m + M), of size p^(f*(final_m + M)) =
-    witness_count, certifies the verdict.
+    witness_count, certifies the verdict.  A budget below 1 raises
+    ValueError.
     """
+    _check_budget(budget)
     return _decide_CZ(_analyse(F, field), budget)
 
 
@@ -421,8 +429,10 @@ def decide_CK(
     otherwise membership holds iff both the reduced polynomial and its
     reciprocal pass the valuation-ring scan.  F is decomposed once, and
     each square-free factor and its reciprocal are searched for ring roots
-    once.  The zero polynomial is a member (0 is a p-th power).
+    once.  The zero polynomial is a member (0 is a p-th power).  A budget
+    below 1 raises ValueError.
     """
+    _check_budget(budget)
     return _decide_CK(_analyse(F, field), budget)
 
 
@@ -491,8 +501,10 @@ def class_spectrum(
     unit classes and uniformizer exponents coprime to p.  Otherwise the
     collected classes of the reduced polynomial and of its reciprocal on
     the valuation ring are exactly the classes attained on the field,
-    because x outside the ring contributes class(rev F_*(1/x)) there.
+    because x outside the ring contributes class(rev F_*(1/x)) there.  A
+    budget below 1 raises ValueError.
     """
+    _check_budget(budget)
     analysis = _analyse(F, field)
     if F.is_zero:
         raise ZeroPolynomial("the spectrum of the zero polynomial is not defined")

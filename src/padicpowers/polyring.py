@@ -282,7 +282,7 @@ class _KElem:
 
     def __init__(self, field: LocalField, coords: Sequence[Fraction]):
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(coords)
 
     @classmethod
     def from_ok(cls, x: OKElem) -> "_KElem":
@@ -290,16 +290,6 @@ class _KElem:
 
     def __bool__(self) -> bool:
         return any(self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, _KElem)
-            and self.field == other.field
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coords))
 
     def __add__(self, other: "_KElem") -> "_KElem":
         return _KElem(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -354,11 +344,8 @@ class _KElem:
         inv_vec += [Fraction(0)] * (n - len(inv_vec))
         return _KElem(self.field, tuple(inv_vec[:n]))
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def to_ok(self) -> OKElem:
-        if not self.is_integral():
+        if any(c.denominator != 1 for c in self.coords):
             raise ValueError("element is not integral")
         return OKElem(self.field, tuple(int(c) for c in self.coords))
 
@@ -378,10 +365,6 @@ def _kp_trim(a: list[_KElem]) -> tuple[_KElem, ...]:
 
 def _kp_from_int(F: IntPoly) -> tuple[_KElem, ...]:
     return tuple(_KElem.from_ok(c) for c in F.coeffs)
-
-
-def _kp_degree(a: tuple[_KElem, ...]) -> int:
-    return len(a) - 1
 
 
 def _kp_add(a, b):
@@ -411,10 +394,15 @@ def _kp_derivative(a):
 
 
 def _kp_divmod(a, b):
+    """Quotient and remainder of a by a monic b.
+
+    b must be monic, so each quotient coefficient is the remainder's leading
+    coefficient and no division happens; every divisor in Yun is a monic
+    remainder or a monic gcd.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     field = b[0].field
-    inv = b[-1].inverse()
     rem = list(a)
     quot = [_kzero(field)] * max(len(a) - len(b) + 1, 0)
     while True:
@@ -422,7 +410,7 @@ def _kp_divmod(a, b):
             rem.pop()
         if len(rem) < len(b):
             break
-        coef = rem[-1] * inv
+        coef = rem[-1]
         shift = len(rem) - len(b)
         quot[shift] = coef
         for j, bj in enumerate(b):
@@ -444,11 +432,16 @@ def _kp_monic(a):
 
 
 def _kp_gcd(a, b):
-    a, b = tuple(a), tuple(b)
+    """Monic gcd by Euclid on a monic remainder sequence.
+
+    Each remainder is made monic before it divides, so its coefficients stay
+    quotients of subresultants instead of carrying the growing scalar
+    multiples of the plain sequence (Brown-Traub).
+    """
+    a, b = _kp_monic(a), _kp_monic(b)
     while b:
-        _, r = _kp_divmod(a, b)
-        a, b = b, r
-    return _kp_monic(a)
+        a, b = b, _kp_monic(_kp_divmod(a, b)[1])
+    return a
 
 
 def _yun(a: tuple[_KElem, ...]) -> list[tuple[tuple[_KElem, ...], int]]:
@@ -459,12 +452,12 @@ def _yun(a: tuple[_KElem, ...]) -> list[tuple[tuple[_KElem, ...], int]]:
     w = _kp_exact_div(d, u)
     out = []
     i = 1
-    while _kp_degree(v) >= 1:
+    while len(v) > 1:
         step = _kp_sub(w, _kp_derivative(v))
         h = _kp_gcd(v, step)
         v = _kp_exact_div(v, h)
         w = _kp_exact_div(step, h)
-        if _kp_degree(h) >= 1:
+        if len(h) > 1:
             out.append((h, i))
         i += 1
     return out
@@ -502,14 +495,11 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     lc = F.lc
     if F.degree == 0:
         return SquareFreeDecomposition(lc=lc, factors=(), c=1)
-    monic = _kp_scale(_kp_from_int(F), _KElem.from_ok(lc).inverse())
+    monic = _kp_monic(_kp_from_int(F))
     factors: list[tuple[IntPoly, int]] = []
     c = 1
     for h, mult in _yun(monic):
-        s = 1
-        for coeff in h:
-            for coord in coeff.coords:
-                s = s * coord.denominator // math.gcd(s, coord.denominator)
+        s = math.lcm(*(coord.denominator for coeff in h for coord in coeff.coords))
         c *= s**mult
         factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
     result = SquareFreeDecomposition(lc=lc, factors=tuple(factors), c=c)
@@ -779,11 +769,21 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
     return R
 
 
+def _exact_quo(n: int, d: int) -> int:
+    q, r = divmod(n, d)
+    if r:  # pragma: no cover - subresultant divisions are exact
+        raise AssertionError("inexact division inside subresultant PRS")
+    return q
+
+
 def _int_resultant(A: list[int], B: list[int]) -> int:
     """Resultant of integer polynomials via the subresultant PRS.
 
-    Rescaling a remainder by lam multiplies the tracked resultant by
-    lam^deg, so all normalizations fold into one exact final quotient.
+    The textbook sequence (Cohen, Alg. 3.3.7, without contents): R =
+    prem(A, B), then A, B = B, R / (g h^delta) with g = lc(A) and h =
+    g^delta / h^(delta - 1), so every B is a subresultant.  Once B is a
+    constant the resultant is sign * lc(B)^deg A / h^(deg A - 1).  Every
+    division is exact and checked.
     """
     sign = 1
     if len(A) < len(B):
@@ -792,38 +792,24 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
             sign = -sign
     if len(B) == 1:
         return sign * B[0] ** (len(A) - 1)
-    num, den = 1, 1
     g, h = 1, 1
-    while len(B) - 1 > 0:
+    while len(B) > 1:
         dA, dB = len(A) - 1, len(B) - 1
         d = dA - dB
-        c = B[-1]
         R = _prem(A, B)
         if not R:
             return 0
-        dR = len(R) - 1
         if dA * dB % 2:
             sign = -sign
-        e = dA - dR - (d + 1) * dB
-        if e >= 0:
-            num *= c**e
-        else:
-            den *= c**-e
         lam = g * h**d
         if lam != 1:
-            R = [x // lam for x in R]
-            num *= lam**dB
+            R = [_exact_quo(x, lam) for x in R]
         A, B = B, R
-        g = c
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = g**d // h ** (d - 1)
-    total = sign * num * B[0] ** (len(A) - 1)
-    q, r = divmod(total, den)
-    if r:  # pragma: no cover - subresultant divisions are exact
-        raise AssertionError("inexact division inside subresultant PRS")
-    return q
+        g = A[-1]
+        if d:
+            h = _exact_quo(g**d, h ** (d - 1))
+    dA = len(A) - 1
+    return _exact_quo(sign * B[0] ** dA, h ** (dA - 1))
 
 
 def resultant(F: IntPoly, G: IntPoly) -> OKElem:

@@ -111,6 +111,19 @@ def test_cz_budget(Q2):
         decide_CZ(P(Q2, 1, 8), Q2, budget=7)
 
 
+@pytest.mark.parametrize("entry", [decide_CZ, decide_CK, class_spectrum])
+def test_budget_below_one_is_refused_before_analysis(Q2, entry, analysis_calls):
+    # a budget admits no scan unless it is positive: a usage error, not a
+    # resource limit, and raised before F is analysed, even for the zero
+    # polynomial, which needs no scan
+    for F in (P(Q2, 9, 0, 4, 0, 4), IntPoly(Q2, ())):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget"):
+                entry(F, Q2, budget=budget)
+    assert not analysis_calls
+    entry(P(Q2, 9, 0, 4, 0, 4), Q2, budget=1_000)
+
+
 def test_cz_preconditions(Q2):
     with pytest.raises(PreconditionNotPowerFree):
         decide_CZ(P(Q2, 0, 0, 1), Q2)

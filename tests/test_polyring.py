@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -389,3 +391,70 @@ def test_resultant_matches_leibniz_over_extensions(E2, U2, E3, which, a, b, root
     # Res(x - r, G) = G(r)
     r = field.element(root)
     assert resultant(IntPoly(field, (-r, 1)), G) == G(r)
+
+
+def _sparse_poly(rng, field, degree):
+    """Degree-`degree` polynomial whose lower coefficients are mostly 0, so
+    that remainder sequences drop by two or more degrees at a step."""
+    coeffs = [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(degree)]
+    return IntPoly(field, coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+
+def test_resultant_matches_naive_sylvester_sparse(Q3):
+    # degrees 0-9 both ways round, equal degrees among them; sparse
+    # coefficients reach degree gaps of 2 and more inside the subresultant
+    # sequence, and a shared factor gives Res = 0
+    rng = random.Random(20251018)
+    for m in range(10):
+        for n in range(10):
+            for _ in range(3):
+                F, G = _sparse_poly(rng, Q3, m), _sparse_poly(rng, Q3, n)
+                expected = _naive_resultant(F, G)
+                assert resultant(F, G).coords[0] == expected, (str(F), str(G))
+                assert resultant(G, F).coords[0] == _naive_resultant(G, F), (str(G), str(F))
+                if m and n and m + n <= 9:
+                    H = _sparse_poly(rng, Q3, rng.randint(1, 3))
+                    assert _naive_resultant(F * H, G * H) == 0
+                    assert resultant(F * H, G * H) == Q3.zero(), (str(F * H), str(G * H))
+
+
+def _normalized_factor(G):
+    """G made monic, then cleared of coordinate denominators, computed apart
+    from the library: over Q_2(sqrt 2), 1/(a + bt) = (a - bt) / (a^2 - 2b^2)."""
+    field = G.field
+    lc = G.lc.coords
+    if field.degree == 1:
+        inv = (Fraction(1, lc[0]),)
+    else:
+        assert field.defining == (-2, 0, 1)
+        a, b = lc
+        norm = a * a - 2 * b * b
+        inv = (Fraction(a, norm), Fraction(-b, norm))
+
+    def times_inv(coords):
+        if field.degree == 1:
+            return (coords[0] * inv[0],)
+        (a, b), (c, d) = coords, inv
+        return (a * c + 2 * b * d, a * d + b * c)
+
+    monic = [times_inv(c.coords) for c in G.coeffs]
+    s = math.lcm(*(Fraction(x).denominator for c in monic for x in c))
+    return IntPoly(field, [tuple(int(x * s) for x in c) for c in monic])
+
+
+def test_decompose_large_repeated_factor(Q3, E2):
+    # F = G1^2 G2 with coefficients of 1,000 bits and more: Yun's remainder
+    # sequence must come back to exactly the normalized G1 and G2
+    rng = random.Random(9)
+    t = E2.generator()
+    for field, top1, top2 in ((Q3, 7, -5), (E2, 3 + t, 5 - 2 * t)):
+        def big():
+            return field.element(tuple(rng.randint(-(2**1000), 2**1000) for _ in range(field.degree)))
+
+        G1 = IntPoly(field, [big(), big(), top1])
+        G2 = IntPoly(field, [big(), big(), big(), top2])
+        F = G1**2 * G2
+        assert F.height.bit_length() >= 2000
+        dec = squarefree_decompose(F)
+        assert dec.lc == F.lc
+        assert dec.factors == ((_normalized_factor(G2), 1), (_normalized_factor(G1), 2))
