@@ -265,7 +265,7 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
             moduli = _moduli(field, v + M)
             if all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
                 continue
-            split = _children(a, coeffs, shift, field)
+            split = _children(a, coeffs, shift, M, field)
             children += [(b, c, None if i else v) for i, (b, c) in enumerate(split)]
         nodes = children
         shift = shift * pi
@@ -285,16 +285,16 @@ def _nonvanishing_point(F: IntPoly, field: LocalField) -> OKElem:
         n += 1
 
 
-def _zero_report(class_tested: str, M: int) -> DecisionReport:
-    """The zero polynomial is a member of both classes, since 0 = 0^p; no
-    point is scanned."""
+def _unscanned_report(class_tested: str, M: int, counterexample=None) -> DecisionReport:
+    """A verdict reached without a scan: membership for the zero polynomial
+    (0 = 0^p, in both classes), or the counterexample near a field root."""
     return DecisionReport(
-        verdict=True,
+        verdict=counterexample is None,
         class_tested=class_tested,
         M=M,
         final_m=0,
         witness_count=0,
-        counterexample=None,
+        counterexample=counterexample,
         m_history=(),
         bounds=None,
     )
@@ -335,21 +335,29 @@ def _constant_report(
     )
 
 
-def _cz_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
-    """Bounds and scan of a power-free F of degree >= 1 without ring roots,
-    given its record."""
-    field = analysis.field
-    bounds = _scan_bounds(analysis, M)
-    final_m, history, counterexample, _ = _scan(analysis.F, field, M, budget, collect=False)
+def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
+    """Scan of a power-free F of degree >= 1 without ring roots, given its
+    record, and for C_K, once F passes, of its reciprocal.  The bounds come
+    after the scans, so that a scan out of budget computes no resultant."""
+    F, field = analysis.F, analysis.field
+    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
+    witness_count = field.p ** (field.f * (final_m + M))
+    if class_tested == "C_K" and counterexample is None:
+        rev_m, rev_history, counterexample, _ = _scan(
+            reciprocal(F), field, M, budget, collect=False
+        )
+        final_m = max(final_m, rev_m)
+        witness_count += field.p ** (field.f * (rev_m + M))
+        history = tuple(sorted(set(history) | set(rev_history)))
     return DecisionReport(
         verdict=counterexample is None,
         class_tested=class_tested,
         M=M,
         final_m=final_m,
-        witness_count=field.p ** (field.f * (final_m + M)),
+        witness_count=witness_count,
         counterexample=counterexample,
         m_history=history,
-        bounds=bounds,
+        bounds=_scan_bounds(analysis, M),
     )
 
 
@@ -378,7 +386,7 @@ def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
     F, field = analysis.F, analysis.field
     M = threshold_k0(field)
     if F.is_zero:
-        return _zero_report("C_ZK", M)
+        return _unscanned_report("C_ZK", M)
     if any(mult >= field.p for _, mult in analysis.factors):
         raise PreconditionNotPowerFree(
             "apply reduce_power_free first: a factor has multiplicity >= p"
@@ -387,7 +395,7 @@ def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
         raise PreconditionRootInRing("polynomial has a root in the valuation ring")
     if F.degree == 0:
         return _constant_report(F.constant, field, "C_ZK", M, F)
-    return _cz_report(analysis, M, budget, "C_ZK")
+    return _scan_report(analysis, M, budget, "C_ZK")
 
 
 def _probe_near_root(
@@ -441,8 +449,7 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
     F, field = analysis.F, analysis.field
     M = threshold_k0(field)
     if F.is_zero:
-        return _zero_report("C_K", M)
-    p = field.p
+        return _unscanned_report("C_K", M)
     power_free = analysis.power_free
     reduced = power_free.F
     if reduced.degree == 0:
@@ -456,34 +463,10 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
             )
         else:
             continue
-        return DecisionReport(
-            verdict=False,
-            class_tested="C_K",
-            M=M,
-            final_m=0,
-            witness_count=0,
-            counterexample=counterexample,
-            m_history=(),
-            bounds=None,
-        )
+        return _unscanned_report("C_K", M, counterexample)
     # no root in the field: in particular none in the ring, for the
     # reduced polynomial and for its reciprocal, as the scans require
-    direct = _cz_report(power_free, M, budget, "C_K")
-    if not direct.verdict:
-        return direct
-    rev_m, rev_history, counterexample, _ = _scan(
-        reciprocal(reduced), field, M, budget, collect=False
-    )
-    return DecisionReport(
-        verdict=counterexample is None,
-        class_tested="C_K",
-        M=M,
-        final_m=max(direct.final_m, rev_m),
-        witness_count=direct.witness_count + p ** (field.f * (rev_m + M)),
-        counterexample=counterexample,
-        m_history=tuple(sorted(set(direct.m_history) | set(rev_history))),
-        bounds=direct.bounds,
-    )
+    return _scan_report(power_free, M, budget, "C_K")
 
 
 def class_spectrum(

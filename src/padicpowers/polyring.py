@@ -9,17 +9,20 @@ integrality is verified before it is returned.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
-LocalField._mul_vec over extensions.  Resultants over extensions use
-Bareiss elimination on the Sylvester matrix; each pivot is inverted once,
-as an integral cofactor d/b with d a rational integer, and every division
-by it is an exact integer division of the coordinates.
+LocalField._mul_vec over extensions.  Resultants run one subresultant
+remainder sequence over the coefficient ring: Z for the base field, Z[t]/(g)
+on coordinate tuples for an extension, where each divisor b is inverted
+once, as an integral cofactor d/b with d a rational integer, and every
+division by it is an exact integer division of the coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -284,10 +287,6 @@ class _KElem:
         self.field = field
         self.coords = tuple(coords)
 
-    @classmethod
-    def from_ok(cls, x: OKElem) -> "_KElem":
-        return cls(x.field, tuple(Fraction(c) for c in x.coords))
-
     def __bool__(self) -> bool:
         return any(self.coords)
 
@@ -364,7 +363,7 @@ def _kp_trim(a: list[_KElem]) -> tuple[_KElem, ...]:
 
 
 def _kp_from_int(F: IntPoly) -> tuple[_KElem, ...]:
-    return tuple(_KElem.from_ok(c) for c in F.coeffs)
+    return tuple(_KElem(F.field, tuple(map(Fraction, c.coords))) for c in F.coeffs)
 
 
 def _kp_add(a, b):
@@ -737,36 +736,12 @@ def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# resultants via Bareiss elimination on the Sylvester matrix
+# resultants via the subresultant PRS
 
 
-def _exact_div_elem(a: OKElem, cofactor: tuple[int, ...], d: int) -> OKElem:
-    """a/b, given d/b = cofactor with d a rational integer, by exact integer
-    division of the coordinates of a * cofactor."""
-    quot = []
-    for n in a.field._mul_vec(a.coords, cofactor):
-        q, r = divmod(n, d)
-        if r:  # pragma: no cover - Bareiss guarantees exactness
-            raise AssertionError("inexact division inside Bareiss elimination")
-        quot.append(q)
-    return OKElem(a.field, tuple(quot))
-
-
-def _prem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, low to high."""
-    dB = len(B) - 1
-    c = B[-1]
-    R = list(A)
-    for k in range(len(A) - 1 - dB, -1, -1):
-        top = R[dB + k]
-        R = [c * x for x in R]
-        if top:
-            for i in range(dB + 1):
-                R[i + k] -= top * B[i]
-    del R[dB:]
-    while R and R[-1] == 0:
-        R.pop()
-    return R
+# a remainder sequence's coefficient ring: its product, its power, its
+# difference, exact division of a list by one element, its zero and its one
+_Ring = namedtuple("_Ring", "mul pow sub quo zero one")
 
 
 def _exact_quo(n: int, d: int) -> int:
@@ -776,95 +751,118 @@ def _exact_quo(n: int, d: int) -> int:
     return q
 
 
-def _int_resultant(A: list[int], B: list[int]) -> int:
-    """Resultant of integer polynomials via the subresultant PRS.
+_INTS = _Ring(
+    operator.mul, operator.pow, operator.sub, lambda xs, b: [_exact_quo(x, b) for x in xs], 0, 1
+)
+
+
+def _exact_div_elem(a: tuple[int, ...], cofactor: tuple[int, ...], d: int, field: LocalField):
+    """Coordinates of a/b, given d/b = cofactor with d a rational integer,
+    by exact integer division of the coordinates of a * cofactor."""
+    return tuple(_exact_quo(n, d) for n in field._mul_vec(a, cofactor))
+
+
+def _coord_ring(field: LocalField) -> _Ring:
+    """Z[t]/(g) on coordinate tuples.  A divisor b that is a rational
+    integer divides coordinate by coordinate; any other is inverted once
+    per call, as the integral cofactor d/b with d the lcm of the
+    denominators of 1/b."""
+
+    def quo(xs, b):
+        if not any(b[1:]):
+            return [tuple(_exact_quo(x, b[0]) for x in a) for a in xs]
+        inv = _KElem(field, tuple(map(Fraction, b))).inverse().coords
+        d = math.lcm(*(c.denominator for c in inv))
+        cofactor = tuple(int(c * d) for c in inv)
+        return [_exact_div_elem(a, cofactor, d, field) for a in xs]
+
+    def power(x, k):
+        return reduce(field._mul_vec, [x] * k) if k else one
+
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
+
+    one = field.one().coords
+    return _Ring(field._mul_vec, power, sub, quo, field.zero().coords, one)
+
+
+def _prem(A: list, B: list, ring: _Ring) -> list:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, low to high."""
+    mul, sub, zero = ring.mul, ring.sub, ring.zero
+    dB = len(B) - 1
+    c = B[-1]
+    R = list(A)
+    for k in range(len(A) - 1 - dB, -1, -1):
+        top = R.pop()  # c * top - top * c cancels the leading term
+        R = [mul(c, x) for x in R]
+        if top != zero:
+            for i in range(dB):
+                R[i + k] = sub(R[i + k], mul(top, B[i]))
+    while R and R[-1] == zero:
+        R.pop()
+    return R
+
+
+def _prs_resultant(A: list, B: list, ring: _Ring):
+    """Resultant of A and B, nonzero coefficient lists low to high over
+    ring, via the subresultant PRS.
 
     The textbook sequence (Cohen, Alg. 3.3.7, without contents): R =
     prem(A, B), then A, B = B, R / (g h^delta) with g = lc(A) and h =
-    g^delta / h^(delta - 1), so every B is a subresultant.  Once B is a
-    constant the resultant is sign * lc(B)^deg A / h^(deg A - 1).  Every
-    division is exact and checked.
+    g^delta / h^(delta - 1), so every B is a subresultant and lies in the
+    ring.  Once B is a constant the resultant is sign * lc(B)^deg A /
+    h^(deg A - 1).  Every division is exact and checked.
     """
+    mul, power, quo, one = ring.mul, ring.pow, ring.quo, ring.one
     sign = 1
     if len(A) < len(B):
         A, B = B, A
         if (len(A) - 1) * (len(B) - 1) % 2:
             sign = -sign
-    if len(B) == 1:
-        return sign * B[0] ** (len(A) - 1)
-    g, h = 1, 1
+    g = h = one
     while len(B) > 1:
         dA, dB = len(A) - 1, len(B) - 1
         d = dA - dB
-        R = _prem(A, B)
+        R = _prem(A, B, ring)
         if not R:
-            return 0
+            return ring.zero
         if dA * dB % 2:
             sign = -sign
-        lam = g * h**d
-        if lam != 1:
-            R = [_exact_quo(x, lam) for x in R]
+        lam = mul(g, power(h, d))
+        if lam != one:
+            R = quo(R, lam)
         A, B = B, R
         g = A[-1]
-        if d:
-            h = _exact_quo(g**d, h ** (d - 1))
+        if d == 1:
+            h = g
+        elif d:
+            h = quo([power(g, d)], power(h, d - 1))[0]
     dA = len(A) - 1
-    return _exact_quo(sign * B[0] ** dA, h ** (dA - 1))
+    res = power(B[0], dA)
+    if dA > 1 and h != one:
+        res = quo([res], power(h, dA - 1))[0]
+    return res if sign == 1 else ring.sub(ring.zero, res)
 
 
 def resultant(F: IntPoly, G: IntPoly) -> OKElem:
-    """Resultant of two nonzero polynomials, computed fraction-free.
+    """Resultant of two nonzero polynomials, by the subresultant PRS.
 
-    Conventions: Res(F, c) = c^deg(F) for constant c, and the resultant of
-    two constants is 1.
+    Base fields run it on the integer coefficients, extensions on
+    coordinate tuples in Z[t]/(g), g the defining polynomial; either way
+    every division is exact.  Conventions: Res(F, c) = c^deg(F) for
+    constant c, and the resultant of two constants is 1.
     """
     if F.is_zero or G.is_zero:
         raise ZeroPolynomial("resultants require nonzero polynomials")
     field = F.field
     if G.field != field:
         raise ValueError("mixed-field resultant")
-    dF, dG = F.degree, G.degree
-    n = dF + dG
-    if n == 0:
-        return field.one()
     if field.degree == 1:
-        value = _int_resultant(
-            [c.coords[0] for c in F.coeffs], [c.coords[0] for c in G.coeffs]
+        value = _prs_resultant(
+            [c.coords[0] for c in F.coeffs], [c.coords[0] for c in G.coeffs], _INTS
         )
         return field.element(value)
-    fc = list(reversed(F.coeffs))  # high degree first
-    gc = list(reversed(G.coeffs))
-    rows: list[list[OKElem]] = []
-    for i in range(dG):
-        row = [field.zero()] * n
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(dF):
-        row = [field.zero()] * n
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
-    sign = 1
-    prev = field.one()
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pivot_row is None:
-                return field.zero()
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        # one inverse per pivot: d, the lcm of the denominators of 1/prev,
-        # makes the cofactor d/prev integral
-        inv = _KElem.from_ok(prev).inverse().coords
-        d = math.lcm(*(c.denominator for c in inv))
-        cofactor = tuple(int(c * d) for c in inv)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = _exact_div_elem(num, cofactor, d)
-            rows[i][k] = field.zero()
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    value = _prs_resultant(
+        [c.coords for c in F.coeffs], [c.coords for c in G.coeffs], _coord_ring(field)
+    )
+    return OKElem(field, value)

@@ -93,21 +93,28 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
             if k_star == 1 and ords[0] > 2 * (ords[1] - level):
                 roots.append(RootApproximation(a, ords[0] - ords[1] + level, True))
             elif k_star:  # a class with k* = 0 holds no root
-                children += _children(a, coeffs, shift, field)
+                children += _children(a, coeffs, shift, 1, field)
         nodes = children
         shift = shift * pi
         level += 1
     return PadicRootReport(exists=bool(roots), roots=tuple(roots), search_depth_used=level - 1)
 
 
-def _children(a: OKElem, coeffs: list, shift: OKElem, field: LocalField) -> list:
+def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
     """The p^f children of the Taylor node (a, L, coeffs), shift = pi^L: for
     each digit r in iter_residues(field, 1) order, the point a + pi^L r and
     the coefficients of G(a + pi^L (r + pi y)), which are the parent's
     shifted by r, by repeated synthetic division, with c_k then scaled by
-    pi^k.  The first child, r = 0, keeps the point a and the value c_0."""
+    pi^k.  The first child, r = 0, keeps the point a and the value c_0.
+
+    As ord pi = 1 and r and the binomials are integral, ord c'_k >= k +
+    min_{j>=k} ord c_j >= 1 + min_{j>=1} ord c_j =: b for k >= 1.  The first
+    pass, Horner's, gives c'_0 = G(r); a child with b >= ord c'_0 + margin
+    keeps c'_0 alone, which settles it as its full expansion would: margin
+    1 prunes a root-search class (k* = 0), margin M pins a scan class."""
     mul = field._mul_vec
     d = len(coeffs) - 1
+    bound = 1 + min(OKElem(field, c).ord() for c in coeffs[1:])
     pi = field.uniformizer().coords
     scales = [field.one().coords]
     for _ in range(d):
@@ -115,10 +122,16 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, field: LocalField) -> list
     out = []
     for r in residues(field, 1):
         c = list(coeffs)
-        for i in range(d if r else 0):
-            for j in range(d - 1, i - 1, -1):
-                c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
-        out.append((a + shift * r, [mul(x, s) for x, s in zip(c, scales)]))
+        for i in range(d if r else 1):
+            if r:
+                for j in range(d - 1, i - 1, -1):
+                    c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
+            if not i and bound >= OKElem(field, c[0]).ord() + margin:
+                c = c[:1]
+                break
+        else:
+            c = [mul(x, s) for x, s in zip(c, scales)]
+        out.append((a + shift * r, c))
     return out
 
 

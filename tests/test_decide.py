@@ -14,6 +14,7 @@ from padicpowers import polyring as polyring_module
 from padicpowers import roots as roots_module
 from padicpowers import (
     BASE,
+    DEFAULT_BUDGET,
     DegreeTooSmall,
     IntPoly,
     NotSquareFree,
@@ -217,6 +218,24 @@ def test_entry_points_analyse_once(
     entry(P(field, *coeffs), field, *args)
     names = ("squarefree_decompose", "resultant", "_ring_roots")
     assert analysis_calls == Counter(dict(zip(names, counts)))
+
+
+def test_scan_out_of_budget_computes_no_resultant(Q2, analysis_calls):
+    # the bounds come after the scans, so a decision whose direct or
+    # reciprocal scan runs out of budget computes no resultant, and the error
+    # still names the m and M at which the scan stopped
+    Q13 = make_field(13, BASE)
+    cases = [
+        (decide_CK, make_ck_not_power(Q13, 2), Q13, DEFAULT_BUDGET, {"m": 13, "M": 2}),
+        (decide_CK, P(Q2, *QUARTIC), Q2, 16, {"m": 2, "M": 3}),  # reciprocal scan
+        (decide_CZ, P(Q2, *QUARTIC), Q2, 4, {"m": 0, "M": 3}),
+    ]
+    for entry, F, field, budget, details in cases:
+        analysis_calls.clear()
+        with pytest.raises(ScanBudgetExceeded) as info:
+            entry(F, field, budget=budget)
+        assert info.value.details == details, str(F)
+        assert analysis_calls["resultant"] == 0, str(F)
 
 
 def test_ck_rejects_via_reciprocal(Q2):

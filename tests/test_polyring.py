@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicpowers import polyring
 from padicpowers import (
     EISENSTEIN,
     IntPoly,
@@ -416,6 +417,130 @@ def test_resultant_matches_naive_sylvester_sparse(Q3):
                     H = _sparse_poly(rng, Q3, rng.randint(1, 3))
                     assert _naive_resultant(F * H, G * H) == 0
                     assert resultant(F * H, G * H) == Q3.zero(), (str(F * H), str(G * H))
+
+
+class _QtElem:
+    """Test-local element of Q(t) = Q[t]/(g): Fraction coordinates in the
+    power basis of the field's defining polynomial g."""
+
+    def __init__(self, field, coords):
+        self.field, self.coords = field, tuple(Fraction(c) for c in coords)
+
+    def __bool__(self):
+        return any(self.coords)
+
+    def __sub__(self, other):
+        return _QtElem(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+
+    def __mul__(self, other):
+        n, g = self.field.degree, self.field.defining
+        conv = [Fraction(0)] * (2 * n - 1)
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(other.coords):
+                conv[i + j] += a * b
+        for i in range(2 * n - 2, n - 1, -1):  # t^n = -(g_0 + ... + g_(n-1) t^(n-1))
+            c, conv[i] = conv[i], 0
+            for j in range(n):
+                conv[i - n + j] -= c * g[j]
+        return _QtElem(self.field, conv[:n])
+
+    def inverse(self):
+        """Solve self * y = 1 by Gauss-Jordan on the matrix of multiplication
+        by self, whose column j holds the coordinates of self * t^j."""
+        n = self.field.degree
+        basis = [_QtElem(self.field, [int(i == j) for i in range(n)]) for j in range(n)]
+        columns = [(self * e).coords for e in basis]
+        rows = [[columns[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+        for col in range(n):
+            pivot = next(r for r in range(col, n) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [x / rows[col][col] for x in rows[col]]
+            for r in range(n):
+                if r != col and rows[r][col]:
+                    rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+        return _QtElem(self.field, [row[n] for row in rows])
+
+
+def _sylvester_over_qt(F, G):
+    """Determinant of the Sylvester matrix of F and G by Gaussian
+    elimination over Q(t), as the integer coordinates of an element."""
+    field = F.field
+    m, n = F.degree, G.degree
+    zero = [_QtElem(field, (0,) * field.degree)]
+    fc = [_QtElem(field, c.coords) for c in F.coeffs[::-1]]
+    gc = [_QtElem(field, c.coords) for c in G.coeffs[::-1]]
+    rows = [zero * i + fc + zero * (n - 1 - i) for i in range(n)]
+    rows += [zero * i + gc + zero * (m - 1 - i) for i in range(m)]
+    det = _QtElem(field, (1,) + (0,) * (field.degree - 1))
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
+        if pivot is None:
+            return (0,) * field.degree
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = zero[0] - det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        for r in range(col + 1, m + n):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b if b else a for a, b in zip(rows[r], rows[col])]
+    assert all(c.denominator == 1 for c in det.coords)
+    return tuple(int(c) for c in det.coords)
+
+
+def _sparse_ext_poly(rng, field, degree):
+    """Degree-`degree` polynomial over an extension with mostly zero lower
+    coefficients, so that remainder sequences drop by two or more degrees."""
+    n = field.degree
+    coeffs = [
+        tuple(rng.randint(-9, 9) for _ in range(n)) if rng.random() < 0.25 else 0
+        for _ in range(degree)
+    ]
+    return IntPoly(field, coeffs + [tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n))])
+
+
+def test_resultant_matches_sylvester_over_extensions(E2, U2, E3):
+    # degrees 0-8 both ways round over the three quadratic extensions, with
+    # sparse coefficients (degree gaps of 2 and more inside the subresultant
+    # sequence), and a shared factor, which gives Res = 0
+    rng = random.Random(20261018)
+    for field in (E2, U2, E3):
+        for m in range(9):
+            for n in range(9):
+                F, G = _sparse_ext_poly(rng, field, m), _sparse_ext_poly(rng, field, n)
+                expected = _sylvester_over_qt(F, G)
+                assert resultant(F, G).coords == expected, (str(F), str(G))
+                # swapping the two row blocks of the matrix: sign (-1)^(mn)
+                swapped = tuple(c * (-1) ** (m * n) for c in expected)
+                assert resultant(G, F).coords == swapped, (str(G), str(F))
+                if m and n and m + n <= 8:
+                    H = _sparse_ext_poly(rng, field, rng.randint(1, 2))
+                    assert resultant(F * H, G * H) == field.zero(), (str(F * H), str(G * H))
+
+
+def test_resultant_divides_by_a_non_integer_over_extensions(E2, monkeypatch):
+    # Res(F, G) with lc(G) = 6 + 9t over Q_2(sqrt 2): the second remainder
+    # step divides by g h = (6 + 9t)^2 = 198 + 108t, whose inverse
+    # (198 - 108t) / 15876 = 11/882 - t/147 has two different
+    # denominators, so its cofactor must scale by their lcm, 882
+    t = E2.generator()
+    lam = _QtElem(E2, (t * 9 + 6).coords) * _QtElem(E2, (t * 9 + 6).coords)
+    assert lam.coords == (198, 108)
+    assert [c.denominator for c in lam.inverse().coords] == [882, 147]
+    divisors = []
+    exact_div = polyring._exact_div_elem
+
+    def recorded(a, cofactor, d, field):
+        divisors.append(d)
+        return exact_div(a, cofactor, d, field)
+
+    monkeypatch.setattr(polyring, "_exact_div_elem", recorded)
+    F = IntPoly(E2, (1, 1, 0, 0, 1))
+    G = IntPoly(E2, (1, t, 0, t * 9 + 6))
+    assert resultant(F, G).coords == _sylvester_over_qt(F, G)
+    assert resultant(G, F).coords == _sylvester_over_qt(G, F)
+    assert 882 in divisors
 
 
 def _normalized_factor(G):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,16 @@ from hypothesis import strategies as st
 from padicpowers import (
     IntPoly,
     NotSquareFree,
+    OKElem,
     has_root_in_field,
     is_pth_power,
     ord,
     residues,
     root_multiplicity_report,
     roots_in_valuation_ring,
+    threshold_k0,
 )
+from padicpowers.roots import _children
 
 
 def P(field, *coeffs):
@@ -168,3 +172,36 @@ def test_known_roots_are_found(Q2, Q3, Q5, E2, U2, E2_cube, E3, data, field_inde
     assert not roots_in_valuation_ring(outer, field).exists
     assert has_root_in_field(G * outer, field)
     assert len(roots_in_valuation_ring(G * outer, field).roots) == count
+
+
+def test_children_settle_like_their_expansion(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    # a child that comes back with c_0 alone must be one that its full
+    # expansion G(r + pi y), built here with polynomial arithmetic, settles:
+    # every c_k, k >= 1, has ord >= ord c_0 + margin (margin 1 prunes a
+    # root-search class, margin M pins a scan class); any other child comes
+    # back expanded in full
+    rng = random.Random(20261018)
+    settled = 0
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
+        pi = field.uniformizer()
+        for _ in range(6):
+            degree = rng.randint(1, 4)
+            coeffs = [rng.randint(-20, 20) * pi ** rng.randint(0, 4) for _ in range(degree)]
+            G = IntPoly(field, coeffs + [pi ** rng.randint(0, 2)])
+            for margin in (1, threshold_k0(field)):
+                node = [c.coords for c in G.coeffs]
+                children = _children(field.zero(), node, field.one(), margin, field)
+                for (point, got), r in zip(children, residues(field, 1)):
+                    assert point == r
+                    full = IntPoly(field, ())
+                    for j, c in enumerate(G.coeffs):
+                        full = full + IntPoly(field, (r, pi)) ** j * c
+                    expected = [c.coords for c in full.coeffs]
+                    if len(got) == 1:
+                        settled += 1
+                        v = OKElem(field, expected[0]).ord()
+                        assert all(OKElem(field, c).ord() >= v + margin for c in expected[1:])
+                        assert got == expected[:1]
+                    else:
+                        assert got == expected
+    assert settled

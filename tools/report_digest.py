@@ -1,0 +1,143 @@
+"""One sha256 over the library's outputs on seeded inputs.
+
+    python3 tools/report_digest.py --seed 7
+
+Over Q_2, Q_3, Q_5, Q_2(sqrt 2), the unramified quadratic U_2 and
+Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
+
+- resultant in both argument orders, and Res(F, F')
+- squarefree_decompose and reduce_power_free
+- the ring-root report of every square-free factor
+- decide_CK, decide_CZ (on the power-free part) and class_spectrum
+- stability_radius
+
+and prints the sha256 of their canonical serialization.  Two checkouts that
+print the same digest for a seed give the same outputs on all of it, so a
+change meant to keep outputs can be checked by running this on both.  Run
+it from the root of a source checkout; it imports the package from src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import padicpowers as pp  # noqa: E402
+
+FIELDS = {
+    "Q2": (2, pp.BASE, None),
+    "Q3": (3, pp.BASE, None),
+    "Q5": (5, pp.BASE, None),
+    "E2": (2, pp.EISENSTEIN, (-2, 0, 1)),
+    "U2": (2, pp.UNRAMIFIED, (1, 1, 1)),
+    "E3": (3, pp.EISENSTEIN, (3, 0, 1)),
+}
+
+
+def canon(x):
+    """A JSON-ready form of an output; integers as hex, sets sorted."""
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return hex(x)
+    if isinstance(x, pp.OKElem):
+        return ["el", [hex(n) for n in x.coords]]
+    if isinstance(x, pp.IntPoly):
+        return ["poly", [canon(c) for c in x.coeffs]]
+    if isinstance(x, Fraction):
+        return ["frac", hex(x.numerator), hex(x.denominator)]
+    if isinstance(x, float):
+        return repr(x)
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__] + [canon(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (set, frozenset)):
+        return sorted((canon(y) for y in x), key=json.dumps)
+    if isinstance(x, (list, tuple)):
+        return [canon(y) for y in x]
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def outcome(fn, *args):
+    """The canonical result of fn(*args), or of the exception it raised."""
+    try:
+        return canon(fn(*args))
+    except Exception as exc:  # every outcome counts, errors included
+        details = getattr(exc, "details", {})
+        return ["raise", type(exc).__name__, str(exc), canon(sorted(details.items()))]
+
+
+def draw(rng: random.Random, K, degree: int, bits: int, sparse: bool):
+    """A degree-`degree` polynomial with coordinates below 2^bits, most of
+    them zero when sparse."""
+
+    def coeff():
+        if sparse and rng.random() < 0.6:
+            return (0,) * K.degree
+        return tuple(rng.randint(-(2**bits), 2**bits) for _ in range(K.degree))
+
+    lead = tuple(rng.choice((-3, -1, 1, 2, 3)) for _ in range(K.degree))
+    return pp.IntPoly(K, [coeff() for _ in range(degree)] + [lead])
+
+
+def field_items(name: str, rng: random.Random):
+    p, kind, poly = FIELDS[name]
+    K = pp.make_field(p, kind, poly)
+    # resultants: sparse and dense pairs, large coefficients, shared factors
+    for m in range(7):
+        for n in range(7):
+            F = draw(rng, K, m, rng.choice((4, 40, 400)), rng.random() < 0.5)
+            G = draw(rng, K, n, rng.choice((4, 40)), rng.random() < 0.5)
+            yield outcome(pp.resultant, F, G)
+            yield outcome(pp.resultant, G, F)
+            if m and n:
+                H = draw(rng, K, rng.randint(1, 2), 4, False)
+                yield outcome(pp.resultant, F * H, G * H)
+    # analyses and decisions: random polynomials, products with repeated
+    # factors, and the paper's members
+    polys = [
+        draw(rng, K, rng.randint(1, 4), rng.choice((2, 5)), rng.random() < 0.3) for _ in range(12)
+    ]
+    for _ in range(4):
+        A = draw(rng, K, rng.randint(1, 2), 3, False)
+        B = draw(rng, K, rng.randint(1, 2), 3, False)
+        polys.append(A ** rng.randint(2, p + 1) * B)
+    m = K.e * p // (p - 1) + 1
+    polys += [pp.make_ck_not_power(K, m), pp.make_cz_not_ck(K)]
+    for F in polys:
+        yield outcome(pp.resultant, F, F.derivative())
+        yield outcome(pp.squarefree_decompose, F)
+        yield outcome(pp.reduce_power_free, F, p)
+        for G, _ in pp.squarefree_decompose(F).factors:
+            yield outcome(pp.roots_in_valuation_ring, G, K)
+        yield outcome(pp.decide_CK, F, K)
+        yield outcome(lambda: pp.decide_CZ(pp.reduce_power_free(F, p), K))
+        yield outcome(pp.class_spectrum, F, K)
+        yield outcome(pp.stability_radius, F, K)
+
+
+def digest(seed: int) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        rng = random.Random(f"digest:{seed}:{name}")
+        for item in field_items(name, rng):
+            h.update(json.dumps(item).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    print(digest(parser.parse_args().seed))
+
+
+if __name__ == "__main__":
+    main()
