@@ -24,7 +24,7 @@ from .errors import (
     PreconditionRootInRing,
     UnsupportedField,
 )
-from .localfield import BASE, LocalField
+from .localfield import BASE, LocalField, _vp
 from .polyring import IntPoly, reciprocal
 from .roots import _analyse
 
@@ -97,14 +97,6 @@ def stability_radius(F: IntPoly, field: LocalField) -> int:
 
 # ---------------------------------------------------------------------------
 # polynomial p-th root approximation on the ring of rational integers
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _assert_member(F: IntPoly, field: LocalField) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Union
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     ScanBudgetExceeded,
     ZeroPolynomial,
 )
-from .localfield import BASE, LocalField, OKElem, iter_residues
+from .localfield import BASE, LocalField, OKElem, residues
 from .polyring import IntPoly, reciprocal, resultant
 from .powerclasses import (
     PowerClassId,
@@ -44,7 +45,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import _analyse, _Analysis, _children
+from .roots import RootApproximation, _analyse, _Analysis, _children, _descend
 
 __all__ = [
     "BoundsReport",
@@ -84,10 +85,11 @@ class DecisionReport:
     """Full certificate of a membership scan.
 
     For verdict False the counterexample names a witness point and the
-    nontrivial power class of the value there.  When decide_CK fails on the
-    reciprocal side, the witness point belongs to the reciprocal scan: the
-    class is that of reciprocal(F_*) at the point, which certifies
-    non-membership of F just as directly.
+    nontrivial power class of F's nonzero value there.  When decide_CK fails
+    on the reciprocal side (its scan, or a root of F_* outside the ring),
+    the witness point belongs to the reciprocal: the class is that of
+    reciprocal(F_*) at the point, which certifies non-membership of F just
+    as directly.
     """
 
     verdict: bool
@@ -336,11 +338,18 @@ def _constant_report(
 
 
 def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
-    """Scan of a power-free F of degree >= 1 without ring roots, given its
-    record, and for C_K, once F passes, of its reciprocal.  The bounds come
-    after the scans, so that a scan out of budget computes no resultant."""
-    F, field = analysis.F, analysis.field
+    """Scan of F's power-free part F_*, of degree >= 1 without ring roots,
+    and for C_K, once F_* passes, of its reciprocal.  A direct scan that
+    fails where F = 0, at a root of a stripped H^p, is probed on F from
+    there.  The bounds come after the scans, so that a scan out of budget
+    computes no resultant."""
+    power_free, field = analysis.power_free, analysis.field
+    F = power_free.F
     final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
+    if counterexample and power_free is not analysis and not analysis.F(counterexample[0]):
+        a = counterexample[0]
+        H = next(factor.poly for factor, _ in analysis.factors if not factor.poly(a))
+        counterexample = _probe_near_root(analysis.F, H, RootApproximation(a, math.inf, True))
     witness_count = field.p ** (field.f * (final_m + M))
     if class_tested == "C_K" and counterexample is None:
         rev_m, rev_history, counterexample, _ = _scan(
@@ -357,7 +366,7 @@ def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) ->
         witness_count=witness_count,
         counterexample=counterexample,
         m_history=history,
-        bounds=_scan_bounds(analysis, M),
+        bounds=_scan_bounds(power_free, M),
     )
 
 
@@ -399,29 +408,33 @@ def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
 
 
 def _probe_near_root(
-    P: IntPoly, a0: OKElem, field: LocalField
+    P: IntPoly, G: IntPoly, root: RootApproximation
 ) -> tuple[OKElem, PowerClassId]:
-    """A witness with non-power value, searched first along perturbations of
-    a located root (where ord P cycles through the residues of p), then by
-    an exhaustive level sweep that provably terminates."""
-    pi = field.uniformizer()
-    shift = pi
-    for _ in range(48):
-        for u in iter_residues(field, 1):
-            if not u:
-                continue
-            x = a0 + shift * u
+    """The first x = a_L + pi^L u, for L = 1, 2, ... and nonzero level-1
+    digits u in residue order, where P takes a nonzero non-power value;
+    root is a root report (a, rho) of a square-free factor G of P, or an
+    exact zero.  a_L is a while L < rho and the point of precision L + 1 on
+    the root's descent (roots._descend) beyond, so ord(x - r) = L.
+
+    This ends.  Write P = (x - r)^m Q, Q(r) != 0.  Beyond the largest
+    ord(r - r') over the other roots r' of P, ord Q(x) is constant, and
+    soon Q(x) / Q(r) lies in 1 + pi^k0 O_K.  If p does not divide m, as at
+    a root of the power-free part, ord P = m L + ord Q(r): a non-power
+    appears within p more levels.  If p divides m, as at the root of a
+    stripped H^p where a scan failed, P(x) has the class of Q(r), which is
+    the non-power class the scan found there.
+    """
+    field = P.field
+    deeper = _descend(G, root)
+    for level in count(1):
+        if root.precision <= level:
+            root = next(deeper)
+        shift = field.uniformizer() ** level
+        for u in residues(field, 1)[1:]:
+            x = root.truncation + shift * u
             value = P(x)
             if value and not is_pth_power(value, field):
                 return x, class_of(value, field)
-        shift = shift * pi
-    level = 1
-    while True:
-        for x in iter_residues(field, level):
-            value = P(x)
-            if value and not is_pth_power(value, field):
-                return x, class_of(value, field)
-        level += 1
 
 
 def decide_CK(
@@ -456,17 +469,17 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
         return _constant_report(reduced.constant, field, "C_K", M, F)
     for factor, _ in power_free.factors:
         if factor.ring.exists:
-            counterexample = _probe_near_root(F, factor.ring.roots[0].truncation, field)
+            counterexample = _probe_near_root(F, factor.poly, factor.ring.roots[0])
         elif factor.rev.exists:
             counterexample = _probe_near_root(
-                reciprocal(reduced), factor.rev.roots[0].truncation, field
+                reciprocal(reduced), reciprocal(factor.poly), factor.rev.roots[0]
             )
         else:
             continue
         return _unscanned_report("C_K", M, counterexample)
     # no root in the field: in particular none in the ring, for the
     # reduced polynomial and for its reciprocal, as the scans require
-    return _scan_report(power_free, M, budget, "C_K")
+    return _scan_report(analysis, M, budget, "C_K")
 
 
 def class_spectrum(

@@ -280,7 +280,9 @@ class LocalField:
     # -- valuation ------------------------------------------------------------
 
     def ord(self, x: "OKElem") -> Union[int, float]:
-        coords = x.coords
+        return self._ord_vec(x.coords)
+
+    def _ord_vec(self, coords: Sequence[int]) -> Union[int, float]:
         if self.kind == BASE:
             c = coords[0]
             return math.inf if c == 0 else _vp(c, self.p)
@@ -457,21 +459,20 @@ def ord(x: OKElem, field: LocalField | None = None) -> Union[int, float]:
     return x.ord()
 
 
-def _check_residue_count(field: LocalField, k: int, cap: int | None) -> int:
+def _check_residue_count(field: LocalField, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     count = field.p ** (field.f * k)
-    limit = RESIDUE_CAP if cap is None else cap
-    if count > limit:
+    if count > RESIDUE_CAP:
         raise KTooLargeForMemory(
-            f"residue system of size {field.p}^{field.f * k} exceeds the cap {limit}",
+            f"residue system of size {field.p}^{field.f * k} exceeds the cap {RESIDUE_CAP}",
             count=count,
-            cap=limit,
+            cap=RESIDUE_CAP,
         )
     return count
 
 
-def iter_residues(field: LocalField, k: int, cap: int | None = None) -> Iterator[OKElem]:
+def iter_residues(field: LocalField, k: int) -> Iterator[OKElem]:
     """Yield the p^(f*k) residue representatives modulo the k-th ideal power.
 
     The ordering is deterministic and is relied upon for canonical class
@@ -484,7 +485,7 @@ def iter_residues(field: LocalField, k: int, cap: int | None = None) -> Iterator
     in [0, p), lexicographic in (d_0, ..., d_(k-1)), so the highest digit
     varies fastest.
     """
-    _check_residue_count(field, k, cap)
+    _check_residue_count(field, k)
     p = field.p
     if field.kind == BASE:
         for a in range(p**k):
@@ -511,9 +512,9 @@ def _residues_cached(field: LocalField, k: int) -> tuple[OKElem, ...]:
     return tuple(iter_residues(field, k))
 
 
-def residues(field: LocalField, k: int, cap: int | None = None) -> tuple[OKElem, ...]:
+def residues(field: LocalField, k: int) -> tuple[OKElem, ...]:
     """Materialized residue system; see iter_residues for the ordering."""
-    _check_residue_count(field, k, cap)
+    _check_residue_count(field, k)
     return _residues_cached(field, k)
 
 

@@ -3,7 +3,8 @@
 Provides the polynomial plumbing the decision procedures sit on: reciprocal
 polynomials, Yun square-free decomposition into factors cleared of
 denominators, p-th-power-free reduction that leaves power-free input as it
-is, perfect-power detection and resultants.  All computations are exact;
+is, and resultants.  Perfect-power detection needs exact p-th roots of ring
+elements, found by the ring-root search, so it lives in roots.  All computations are exact;
 the fraction-field layer is private and every result that claims
 integrality is verified before it is returned.
 
@@ -27,14 +28,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroPolynomial
-from .localfield import BASE, EISENSTEIN, LocalField, OKElem, iter_residues
-from .powerclasses import is_pth_power, threshold_k0
+from .localfield import LocalField, OKElem
+from .powerclasses import is_pth_power
 
 __all__ = [
     "IntPoly",
     "NecessaryConditions",
     "SquareFreeDecomposition",
-    "is_perfect_pth_power_poly",
     "is_power_free",
     "necessary_conditions",
     "reciprocal",
@@ -595,144 +595,6 @@ def necessary_conditions(F: IntPoly, field: LocalField) -> NecessaryConditions:
         const_is_power=is_pth_power(F.constant, field),
         lc_is_power=is_pth_power(F.lc, field),
     )
-
-
-# ---------------------------------------------------------------------------
-# exact p-th roots of ring elements and of polynomials
-
-
-def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact nonnegative k-th root of n >= 0, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1):
-        return n
-    r = 1 << (n.bit_length() + k - 1) // k
-    while True:
-        nr = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    return r if r**k == n else None
-
-
-def _pth_root_elem(x: OKElem, field: LocalField) -> OKElem | None:
-    """Exact w with w^p = x, searched inside the coordinate ring, else None.
-
-    Base field: integer root extraction.  Extensions: a small breadth-first
-    refinement of the residue tree of X^p - x followed by a balanced
-    coordinate lift and exact verification, doubling the depth a few times.
-    The search is sound (never returns a wrong root); on pathological inputs
-    outside the coordinate ring it simply reports None.
-    """
-    p = field.p
-    if not x:
-        return field.zero()
-    if field.kind == BASE:
-        n = x.coords[0]
-        if n < 0:
-            if p % 2 == 0:
-                return None
-            r = _int_nth_root(-n, p)
-            return field.element(-r) if r is not None else None
-        r = _int_nth_root(n, p)
-        return field.element(r) if r is not None else None
-
-    v = x.ord()
-    if v % p != 0:
-        return None
-    depth = max(2 * threshold_k0(field) + v, 8)
-    for _ in range(4):
-        candidates = _power_root_truncations(x, field, depth)
-        for a in candidates:
-            w = _balanced_lift(a, field, depth)
-            if w**p == x:
-                if p % 2 == 0:
-                    for coord in w.coords:
-                        if coord:
-                            if coord < 0:
-                                w = -w
-                            break
-                return w
-        if not candidates:
-            return None
-        depth *= 2
-        if depth > 512:
-            break
-    return None
-
-
-def _power_root_truncations(x: OKElem, field: LocalField, depth: int) -> list[OKElem]:
-    p = field.p
-    frontier = [a for a in iter_residues(field, 1) if ((a**p) - x).ord() >= 1]
-    pi = field.uniformizer()
-    level = 1
-    shift = pi
-    while level < depth and frontier:
-        nxt = []
-        for a in frontier:
-            for r in iter_residues(field, 1):
-                b = a + shift * r
-                if ((b**p) - x).ord() >= level + 1:
-                    nxt.append(b)
-        frontier = nxt
-        shift = shift * pi
-        level += 1
-        if len(frontier) > 4096:  # kernel of the power map is tiny; cap hard
-            break
-    return frontier
-
-
-def _balanced_lift(a: OKElem, field: LocalField, depth: int) -> OKElem:
-    """Representative of a mod the depth-th ideal power with small coordinates."""
-    p = field.p
-    out = []
-    for j, coord in enumerate(a.coords):
-        if field.kind == EISENSTEIN:
-            m = p ** max((depth - j + field.e - 1) // field.e, 0)
-        else:
-            m = p**depth
-        if m <= 1:
-            out.append(coord)
-            continue
-        r = coord % m
-        if 2 * r > m:
-            r -= m
-        out.append(r)
-    return OKElem(field, tuple(out))
-
-
-def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:
-    """Exact polynomial p-th root over the fraction field, or None.
-
-    When F = G^p the returned G has valuation-ring coefficients and
-    satisfies G^p == F exactly (so G is recovered up to a p-th root of
-    unity, i.e. up to sign when p is even).  The final identity is always
-    verified, making false positives impossible.
-    """
-    if p != F.field.p:
-        raise ValueError("p must be the residue characteristic of the field")
-    if F.is_zero:
-        raise ZeroPolynomial("the zero polynomial is excluded")
-    field = F.field
-    dec = squarefree_decompose(F)
-    if any(mult % p for _, mult in dec.factors):
-        return None
-    w = _pth_root_elem(dec.lc, field)
-    if w is None:
-        return None
-    W = IntPoly(field, (1,))
-    for G, mult in dec.factors:
-        W = W * G ** (mult // p)
-    # c = lc(W)^p, so F = lc * (W / lc(W))^p with the integer lc(W)
-    s = W.lc.coords[0]
-    G = W * w
-    if any(n % s for coeff in G.coeffs for n in coeff.coords):
-        return None
-    G = IntPoly(field, [OKElem(field, tuple(n // s for n in coeff.coords)) for coeff in G.coeffs])
-    if G**p != F:
-        return None
-    return G
 
 
 # ---------------------------------------------------------------------------

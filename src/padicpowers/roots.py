@@ -1,4 +1,5 @@
-"""Root existence in the valuation ring and in the full local field.
+"""Root existence in the valuation ring and in the full local field, and
+exact p-th roots of ring elements and of polynomials.
 
 The search walks the membership scan's Taylor nodes: a class a + pi^L O_K
 with the coefficients c_k of G(a + pi^L y), from (0, 0, G) one level at a
@@ -8,6 +9,9 @@ Weierstrass degree).  k* = 0 prunes the node.  k* = 1 means one root, in K
 as the class is stable under conjugation, and once ord G(a) > 2 ord G'(a),
 Hensel's lemma gives a root within ord c_0 - ord c_1 + L >= L of a, which
 is that root.  Other nodes split; G is square-free, so the search ends.
+
+A reported root is taken deeper along the same nodes, and the exact p-th
+roots that perfect-power detection tries are the roots of X^p - x.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import NotSquareFree, ZeroPolynomial
-from .localfield import LocalField, OKElem, residues
+from .localfield import BASE, EISENSTEIN, LocalField, OKElem, residues
 from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
@@ -27,11 +31,13 @@ from .polyring import (
     resultant,
     squarefree_decompose,
 )
+from .powerclasses import threshold_k0
 
 __all__ = [
     "PadicRootReport",
     "RootApproximation",
     "has_root_in_field",
+    "is_perfect_pth_power_poly",
     "root_multiplicity_report",
     "roots_in_valuation_ring",
 ]
@@ -88,7 +94,7 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     while nodes:
         children = []
         for a, coeffs in nodes:
-            ords = [OKElem(field, c).ord() for c in coeffs]
+            ords = [field._ord_vec(c) for c in coeffs]
             k_star = len(ords) - 1 - ords[::-1].index(min(ords))
             if k_star == 1 and ords[0] > 2 * (ords[1] - level):
                 roots.append(RootApproximation(a, ords[0] - ords[1] + level, True))
@@ -100,9 +106,39 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     return PadicRootReport(exists=bool(roots), roots=tuple(roots), search_depth_used=level - 1)
 
 
+def _descend(G: IntPoly, root: RootApproximation):
+    """Truncations of precision rho + 1, rho + 2, ... of the root r of the
+    square-free G that root = (a, rho) reports.  The class a + pi^rho O_K
+    holds no other root, so exactly one child of each node on the way down
+    holds a root: the one with ord c_0 >= min_{k>=1} ord c_k."""
+    field, mul = G.field, G.field._mul_vec
+    pi = field.uniformizer()
+    a, level = root.truncation, root.precision
+    shift = pi**level
+    # G(a + shift y): d synthetic divisions by y - a, then c_k times shift^k
+    coeffs = [c.coords for c in G.coeffs]
+    d = len(coeffs) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
+    scale = field.one().coords
+    for k in range(1, d + 1):
+        scale = mul(scale, shift.coords)
+        coeffs[k] = mul(coeffs[k], scale)
+    while True:
+        a, coeffs = next(
+            (b, c)
+            for b, c in _children(a, coeffs, shift, 1, field)
+            if len(c) > 1 and field._ord_vec(c[0]) >= min(map(field._ord_vec, c[1:]))
+        )
+        shift = shift * pi
+        level += 1
+        yield RootApproximation(a, level, False)
+
+
 def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
     """The p^f children of the Taylor node (a, L, coeffs), shift = pi^L: for
-    each digit r in iter_residues(field, 1) order, the point a + pi^L r and
+    each digit r in residues(field, 1) order, the point a + pi^L r and
     the coefficients of G(a + pi^L (r + pi y)), which are the parent's
     shifted by r, by repeated synthetic division, with c_k then scaled by
     pi^k.  The first child, r = 0, keeps the point a and the value c_0.
@@ -114,7 +150,7 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
     1 prunes a root-search class (k* = 0), margin M pins a scan class."""
     mul = field._mul_vec
     d = len(coeffs) - 1
-    bound = 1 + min(OKElem(field, c).ord() for c in coeffs[1:])
+    bound = 1 + min(map(field._ord_vec, coeffs[1:]))
     pi = field.uniformizer().coords
     scales = [field.one().coords]
     for _ in range(d):
@@ -126,12 +162,13 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
             if r:
                 for j in range(d - 1, i - 1, -1):
                     c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
-            if not i and bound >= OKElem(field, c[0]).ord() + margin:
+            if not i and bound >= field._ord_vec(c[0]) + margin:
                 c = c[:1]
                 break
         else:
             c = [mul(x, s) for x, s in zip(c, scales)]
-        out.append((a + shift * r, c))
+        point = tuple(map(operator.add, a.coords, mul(shift.coords, r.coords)))
+        out.append((OKElem(field, point), c))
     return out
 
 
@@ -240,3 +277,96 @@ def root_multiplicity_report(F: IntPoly, field: LocalField, p: int) -> str:
         if mult % p and factor.has_field_root:
             return "violates"
     return "compliant"
+
+
+# ---------------------------------------------------------------------------
+# exact p-th roots of ring elements and of polynomials
+
+
+def _int_nth_root(n: int, k: int) -> int | None:
+    """Exact positive k-th root of n >= 1, or None."""
+    r = 1 << (n.bit_length() + k - 1) // k
+    while True:
+        nr = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    return r if r**k == n else None
+
+
+def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
+    """Every w in the coordinate ring with w^p = x: an integer root over
+    the base field; over an extension each ring root of X^p - x, descended
+    to depths max(2 k0 + ord x, 8) doubling up to 512, lifted to small
+    coordinates and verified.  For p = 2, +-w with the one whose first
+    nonzero coordinate is positive first."""
+    p = field.p
+    if not x:
+        return [field.zero()]
+    if field.kind == BASE:
+        n = x.coords[0]
+        r = _int_nth_root(abs(n), p)
+        if r is None or (n < 0 and p == 2):
+            return []
+        w = field.element(r if n > 0 else -r)
+        return [w, -w] if p == 2 else [w]
+    v = x.ord()
+    if v % p:
+        return []
+    start = max(2 * threshold_k0(field) + v, 8)
+    depths = [start] + [start << i for i in (1, 2, 3) if start << i <= 512]
+    G = IntPoly(field, (-x,) + (0,) * (p - 1) + (1,))
+    out = []
+    for root in _ring_roots(G, field).roots:
+        deeper = _descend(G, root)
+        for depth in depths:
+            while root.precision < depth:
+                root = next(deeper)
+            w = _balanced_lift(root.truncation, field, depth)
+            if w**p == x:
+                out.append(w)
+                break
+    if p == 2:
+        out.sort(key=lambda w: next(c for c in w.coords if c) < 0)
+    return out
+
+
+def _balanced_lift(a: OKElem, field: LocalField, depth: int) -> OKElem:
+    """Representative of a mod the depth-th ideal power with small
+    coordinates (over an Eisenstein field, depth > e)."""
+    out = []
+    for j, coord in enumerate(a.coords):
+        m = field.p ** (-((j - depth) // field.e) if field.kind == EISENSTEIN else depth)
+        r = coord % m
+        out.append(r - m if 2 * r > m else r)
+    return OKElem(field, tuple(out))
+
+
+def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:
+    """Exact polynomial p-th root over the fraction field, or None.
+
+    When F = G^p the returned G has valuation-ring coefficients and
+    satisfies G^p == F exactly (so G is recovered up to a p-th root of
+    unity).  G = w W / lc(W) for the first exact p-th root w of lc(F) that
+    makes it integral, W = prod G_i^(m_i / p) over F's square-free factors.
+    The final identity is always verified, making false positives impossible.
+    """
+    if p != F.field.p:
+        raise ValueError("p must be the residue characteristic of the field")
+    if F.is_zero:
+        raise ZeroPolynomial("the zero polynomial is excluded")
+    field = F.field
+    dec = _analyse(F, field).decomposition
+    if any(mult % p for _, mult in dec.factors):
+        return None
+    W = IntPoly(field, (1,))
+    for G, mult in dec.factors:
+        W = W * G ** (mult // p)
+    # c = lc(W)^p, so F = lc * (W / lc(W))^p with the integer lc(W)
+    s = W.lc.coords[0]
+    for w in _pth_roots(dec.lc, field):
+        G = W * w
+        if not any(n % s for coeff in G.coeffs for n in coeff.coords):
+            G = IntPoly(field, [[n // s for n in coeff.coords] for coeff in G.coeffs])
+            return G if G**p == F else None
+    return None

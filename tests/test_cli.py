@@ -75,6 +75,15 @@ def test_exit_code_zero_even_when_verdict_false(capsys):
     assert json.loads(out)["verdict"] is False
 
 
+def test_witness_far_from_an_exact_root_exits_zero(capsys):
+    # x (x - 2^60) needs a witness 58 levels from its roots
+    code, out, _ = invoke(
+        capsys, "decide", "--p", "2", "--poly", "x^2-1152921504606846976x", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] is False
+
+
 def test_exit_code_precondition(capsys):
     code, out, err = invoke(
         capsys, "decide", "--p", "2", "--ring", "integers", "--coeffs", "0,0,1", "--json"

@@ -428,6 +428,49 @@ def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3):
     assert witnesses > 70
 
 
+def test_witnesses_avoid_roots_of_stripped_powers(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    # F = (x - c)^p G with c the point where G's scan fails: the scan of F's
+    # power-free part fails at c as well, where F = 0, so decide_CK names a
+    # point near c, where F takes G(c)'s class
+    F = P(Q2, -1, 1) ** 2 * P(Q2, 1, 1, 1)
+    report = decide_CK(F, Q2)
+    assert report.counterexample[0] == Q2.element(3)  # F(1) = 0, F(3) = 52
+    assert_counterexample_holds(report, F, Q2)
+    fields = [Q2, Q3, Q5, E2, U2, E2_cube, E3]
+    cases = Counter()
+    for field, G in rootless_power_free_suite(fields, 60, seed=211):
+        direct = decide_CZ(G, field)
+        if direct.verdict or has_root_in_field(G, field):
+            continue
+        c = direct.counterexample[0]
+        F = IntPoly(field, (-c, 1)) ** field.p * G
+        report = decide_CK(F, field)
+        assert not report.verdict
+        assert_counterexample_holds(report, F, field)
+        cases[field] += 1
+    assert len(cases) == len(fields)
+
+
+def test_witness_58_levels_from_exact_roots(Q2):
+    # x (x - 2^60): values near either root are squares up to level 57; the
+    # first non-square is F(2^58) = -3 * 2^116
+    F = P(Q2, 0, -(2**60), 1)
+    report = decide_CK(F, Q2)
+    assert report.counterexample[0] == Q2.element(2**58)
+    assert_counterexample_holds(report, F, Q2)
+
+
+def test_witness_beyond_the_precision_of_a_root_report(Q2):
+    # sqrt 17 is reported to precision 3, and the roots of x^2 - 17 - 2^40 lie
+    # at distance 39 from it: the first witness on sqrt 17's own digits is at
+    # level 37, so the probe must follow the root past its report
+    F = P(Q2, -17, 0, 1) * P(Q2, -17 - 2**40, 0, 1) ** 3
+    report = decide_CK(F, Q2)
+    point, _ = report.counterexample
+    assert (point * point - 17).ord() == 38  # at distance 37 from a root
+    assert_counterexample_holds(report, F, Q2)
+
+
 def test_cz_final_m_found_below_first_level(Q2):
     # G = (x - 8)^2 + 2^7 has ord 7 exactly on x = 8 mod 16 and less elsewhere,
     # and 2^17 / G^2 has ord >= 3, so F = G^2 + 2^17 is a member whose largest

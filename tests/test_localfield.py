@@ -133,7 +133,7 @@ def test_residue_cap(Q2):
     with pytest.raises(KTooLargeForMemory):
         list(iter_residues(Q2, 21))
     with pytest.raises(KTooLargeForMemory):
-        residues(Q2, 4, cap=10)
+        residues(Q2, 20)
 
 
 def test_reduce_mod(Q2, E2):

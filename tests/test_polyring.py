@@ -258,7 +258,7 @@ def test_necessary_conditions(Q2):
 # --- perfect p-th powers
 
 
-def test_perfect_power_fixtures(Q2, Q3, E2):
+def test_perfect_power_fixtures(Q2, Q3, E2, E3):
     assert is_perfect_pth_power_poly(P(Q2, 0, 0, 1), 2) == P(Q2, 0, 1)
     assert is_perfect_pth_power_poly(P(Q2, 9, 0, 4, 0, 4), 2) is None
     assert is_perfect_pth_power_poly(P(Q2, 1, 0, 2, 0, 1), 2) == P(Q2, 1, 0, 1)
@@ -269,17 +269,32 @@ def test_perfect_power_fixtures(Q2, Q3, E2):
     assert is_perfect_pth_power_poly(P(Q3, 0, 0, 0, 8), 3) == P(Q3, 0, 2)
     t = E2.generator()
     assert is_perfect_pth_power_poly(IntPoly(E2, (1, 2 * t, 2)), 2) == IntPoly(E2, (1, t))
+    # -8 has the cube roots -2, 1 - t and 1 + t in Z[t], t^2 = -3, and only
+    # 1 + t makes the root integral
+    s = E3.generator()
+    G = IntPoly(E3, (1, 1 + s))
+    assert is_perfect_pth_power_poly(G**3, 3) == G
 
 
-@given(a=st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3))
-@settings(max_examples=80, deadline=None)
-def test_perfect_power_roundtrip(Q2, a):
-    G = IntPoly(Q2, a)
+@given(
+    which=st.integers(min_value=0, max_value=4),
+    a=st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+@example(which=4, a=[[1, 0, 0], [1, 1, 0]])  # (1 + (1 + t)x)^3 over E3
+def test_perfect_power_roundtrip(Q2, E2, U2, E2_cube, E3, which, a):
+    field = (Q2, E2, U2, E2_cube, E3)[which]
+    G = IntPoly(field, [c[: field.degree] for c in a])
     if not G:
         return
-    root = is_perfect_pth_power_poly(G * G, 2)
-    assert root is not None
-    assert root * root == G * G
+    F = G**field.p
+    root = is_perfect_pth_power_poly(F, field.p)
+    assert root is not None, str(G)
+    assert root**field.p == F
 
 
 # --- resultants

@@ -21,7 +21,7 @@ from padicpowers import (
     roots_in_valuation_ring,
     threshold_k0,
 )
-from padicpowers.roots import _children
+from padicpowers.roots import _children, _descend
 
 
 def P(field, *coeffs):
@@ -205,3 +205,37 @@ def test_children_settle_like_their_expansion(Q2, Q3, Q5, E2, U2, E2_cube, E3):
                     else:
                         assert got == expected
     assert settled
+
+
+def test_descents_stay_on_their_roots(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+    # each step of a report's descent names the same root one level deeper:
+    # it agrees with the report to the report's precision, and by the Newton
+    # polygon of G(t + pi^L y), rebuilt here with polynomial arithmetic, the
+    # class t + pi^L O_K holds exactly one root of G
+    rng = random.Random(20261019)
+    steps = 0
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
+        pi = field.uniformizer()
+        for _ in range(8):
+            G = P(field, rng.randint(-30, 30) * pi ** rng.randint(0, 3), rng.randint(-9, 9), 1)
+            if G.degree == 0 or G.constant == 0:
+                continue
+            try:
+                report = roots_in_valuation_ring(G, field)
+            except NotSquareFree:
+                continue
+            for root in report.roots:
+                if root.precision == math.inf:
+                    continue
+                deeper = _descend(G, root)
+                for level in range(root.precision + 1, root.precision + 12):
+                    step = next(deeper)
+                    assert step.precision == level
+                    assert ord(step.truncation - root.truncation) >= root.precision
+                    shifted = P(field)
+                    for c in reversed(G.coeffs):
+                        shifted = shifted * P(field, step.truncation, pi**level) + c
+                    ords = [ord(c) for c in shifted.coeffs]
+                    assert len(ords) - 1 - ords[::-1].index(min(ords)) == 1
+                    steps += 1
+    assert steps > 300

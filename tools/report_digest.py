@@ -10,6 +10,8 @@ Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
 - the ring-root report of every square-free factor
 - decide_CK, decide_CZ (on the power-free part) and class_spectrum
 - stability_radius
+- is_perfect_pth_power_poly of each of those polynomials and of G^p for a
+  seeded G
 
 and prints the sha256 of their canonical serialization.  Two checkouts that
 print the same digest for a seed give the same outputs on all of it, so a
@@ -121,6 +123,9 @@ def field_items(name: str, rng: random.Random):
         yield outcome(lambda: pp.decide_CZ(pp.reduce_power_free(F, p), K))
         yield outcome(pp.class_spectrum, F, K)
         yield outcome(pp.stability_radius, F, K)
+        yield outcome(pp.is_perfect_pth_power_poly, F, p)
+        G = draw(rng, K, rng.randint(1, 2), 3, rng.random() < 0.3)
+        yield outcome(pp.is_perfect_pth_power_poly, G**p, p)
 
 
 def digest(seed: int) -> str:
