@@ -65,11 +65,29 @@ def _is_prime(n: int) -> bool:
 
 
 def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer.
+
+    The first 8 factors come off one at a time.  Past that, n is divided by
+    p, p^2, p^4, ... while they divide, and the rest of v is taken greedily
+    with the halving powers, so a large v costs O(log v) divisions.
+    """
     v = 0
     while n % p == 0:
+        if v == 8:
+            break
         n //= p
         v += 1
+    else:
+        return v
+    ladder = [p]  # ladder[i] = p^(2^i)
+    while n % ladder[-1] == 0:
+        n //= ladder[-1]
+        v += 1 << (len(ladder) - 1)
+        ladder.append(ladder[-1] * ladder[-1])
+    for i in range(len(ladder) - 2, -1, -1):
+        if n % ladder[i] == 0:
+            n //= ladder[i]
+            v += 1 << i
     return v
 
 

@@ -6,7 +6,10 @@ denominators, p-th-power-free reduction that leaves power-free input as it
 is, and resultants.  Perfect-power detection needs exact p-th roots of ring
 elements, found by the ring-root search, so it lives in roots.  All computations are exact;
 the fraction-field layer is private and every result that claims
-integrality is verified before it is returned.
+integrality is verified before it is returned.  Its elements, on which
+Yun's algorithm runs, are integer coordinates over one denominator in
+lowest terms, and their products run on the integer kernel
+LocalField._mul_vec.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
@@ -25,7 +28,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ZeroPolynomial
 from .localfield import LocalField, OKElem
@@ -279,58 +282,76 @@ def _fp_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 class _KElem:
-    """Fraction coordinate vector in the power basis; field-of-fractions math."""
+    """Element of K as integer coordinates num in the power basis over one
+    positive denominator den, in lowest terms: gcd(den, *num) = 1.
 
-    __slots__ = ("field", "coords")
+    Arithmetic is Henrici's (Knuth, TAOCP 2, 4.5.1), which keeps lowest
+    terms with gcds against denominators only: a product cancels each
+    operand's content against the other's denominator before it multiplies
+    on the integer kernel LocalField._mul_vec, and a sum takes d1 = gcd of
+    the denominators, then gcd(d1, *t) of its cross sum t.  Over an
+    extension a product is normalised once more, because reduction modulo
+    g can create a common factor: (t/2) * t = 2/2 when t^2 = 2.
+    """
 
-    def __init__(self, field: LocalField, coords: Sequence[Fraction]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: LocalField, num: tuple[int, ...], den: int = 1):
         self.field = field
-        self.coords = tuple(coords)
+        self.num = num
+        self.den = den
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
+
+    def _sum(self, b: tuple[int, ...], db: int) -> "_KElem":
+        a, da = self.num, self.den
+        d1 = math.gcd(da, db)
+        if d1 == 1:
+            return _KElem(self.field, tuple(x * db + y * da for x, y in zip(a, b)), da * db)
+        ea, eb = da // d1, db // d1
+        t = tuple(x * eb + y * ea for x, y in zip(a, b))
+        d2 = math.gcd(d1, *t)
+        if d2 != 1:
+            t = tuple(x // d2 for x in t)
+        return _KElem(self.field, t, ea * (db // d2))
 
     def __add__(self, other: "_KElem") -> "_KElem":
-        return _KElem(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._sum(other.num, other.den)
 
     def __sub__(self, other: "_KElem") -> "_KElem":
-        return _KElem(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._sum(tuple(-y for y in other.num), other.den)
 
     def __neg__(self) -> "_KElem":
-        return _KElem(self.field, tuple(-a for a in self.coords))
+        return _KElem(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "_KElem") -> "_KElem":
-        n = self.field.degree
-        if n == 1:
-            return _KElem(self.field, (self.coords[0] * other.coords[0],))
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(self.coords):
-            if ai:
-                for j, bj in enumerate(other.coords):
-                    conv[i + j] += ai * bj
-        g = self.field.defining
-        for i in range(len(conv) - 1, n - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = Fraction(0)
-                for j in range(n):
-                    conv[i - n + j] -= c * g[j]
-        return _KElem(self.field, tuple(conv[:n]))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if db != 1 and (g := math.gcd(db, *a)) != 1:
+            a, db = tuple(x // g for x in a), db // g
+        if da != 1 and (g := math.gcd(da, *b)) != 1:
+            b, da = tuple(x // g for x in b), da // g
+        field = self.field
+        num, den = field._mul_vec(a, b), da * db
+        if field.degree > 1 and den != 1 and (g := math.gcd(den, *num)) != 1:
+            num, den = tuple(x // g for x in num), den // g
+        return _KElem(field, num, den)
 
-    def scale(self, k: Union[int, Fraction]) -> "_KElem":
-        k = Fraction(k)
-        return _KElem(self.field, tuple(a * k for a in self.coords))
+    def scale(self, k: int) -> "_KElem":
+        g = math.gcd(k, self.den)
+        return _KElem(self.field, tuple(x * (k // g) for x in self.num), self.den // g)
 
     def inverse(self) -> "_KElem":
         if not self:
             raise ZeroDivisionError("inverse of zero")
         n = self.field.degree
         if n == 1:
-            return _KElem(self.field, (1 / self.coords[0],))
+            a = self.num[0]
+            return _KElem(self.field, (-self.den,) if a < 0 else (self.den,), abs(a))
         # extended Euclid in Q[t] against the (irreducible) defining polynomial,
-        # tracking only the cofactor of self: s_k * self == r_k (mod defining)
+        # tracking only the cofactor of num: s_k * num == r_k (mod defining)
         g = [Fraction(c) for c in self.field.defining]
-        r0, r1 = g, _fp_trim(list(self.coords))
+        r0, r1 = g, _fp_trim(list(map(Fraction, self.num)))
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
             q, r = _fp_divmod(r0, r1)
@@ -338,19 +359,19 @@ class _KElem:
             s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
             if not r1:
                 raise ZeroDivisionError("element shares a factor with the defining polynomial")
-        unit = r1[0]
-        inv_vec = [c / unit for c in s1]
-        inv_vec += [Fraction(0)] * (n - len(inv_vec))
-        return _KElem(self.field, tuple(inv_vec[:n]))
+        inv = [c * self.den / r1[0] for c in s1] + [Fraction(0)] * (n - len(s1))
+        # the lcm of the coordinate denominators is the lowest-terms den
+        den = math.lcm(*(c.denominator for c in inv))
+        return _KElem(self.field, tuple(int(c * den) for c in inv), den)
 
     def to_ok(self) -> OKElem:
-        if any(c.denominator != 1 for c in self.coords):
+        if self.den != 1:
             raise ValueError("element is not integral")
-        return OKElem(self.field, tuple(int(c) for c in self.coords))
+        return OKElem(self.field, self.num)
 
 
 def _kzero(field: LocalField) -> _KElem:
-    return _KElem(field, (Fraction(0),) * field.degree)
+    return _KElem(field, (0,) * field.degree)
 
 
 # polynomials over the fraction field: plain tuples of _KElem, low degree first
@@ -363,7 +384,7 @@ def _kp_trim(a: list[_KElem]) -> tuple[_KElem, ...]:
 
 
 def _kp_from_int(F: IntPoly) -> tuple[_KElem, ...]:
-    return tuple(_KElem(F.field, tuple(map(Fraction, c.coords))) for c in F.coeffs)
+    return tuple(_KElem(F.field, c.coords) for c in F.coeffs)
 
 
 def _kp_add(a, b):
@@ -498,7 +519,7 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     factors: list[tuple[IntPoly, int]] = []
     c = 1
     for h, mult in _yun(monic):
-        s = math.lcm(*(coord.denominator for coeff in h for coord in coeff.coords))
+        s = math.lcm(*(coeff.den for coeff in h))
         c *= s**mult
         factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
     result = SquareFreeDecomposition(lc=lc, factors=tuple(factors), c=c)
@@ -633,10 +654,8 @@ def _coord_ring(field: LocalField) -> _Ring:
     def quo(xs, b):
         if not any(b[1:]):
             return [tuple(_exact_quo(x, b[0]) for x in a) for a in xs]
-        inv = _KElem(field, tuple(map(Fraction, b))).inverse().coords
-        d = math.lcm(*(c.denominator for c in inv))
-        cofactor = tuple(int(c * d) for c in inv)
-        return [_exact_div_elem(a, cofactor, d, field) for a in xs]
+        inv = _KElem(field, b).inverse()
+        return [_exact_div_elem(a, inv.num, inv.den, field) for a in xs]
 
     def power(x, k):
         return reduce(field._mul_vec, [x] * k) if k else one

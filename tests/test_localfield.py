@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicpowers import (
@@ -25,6 +25,7 @@ from padicpowers import (
     reduce_mod,
     residues,
 )
+from padicpowers.localfield import _vp
 
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
 coord_pairs = st.tuples(small_ints, small_ints)
@@ -78,6 +79,25 @@ def test_ord_fixtures(Q2, Q3, E2, U2):
     assert ord(E2.element((2, 1))) == 1
     assert ord(U2.element(2)) == 1
     assert ord(U2.element((2, 1))) == 0
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 13)),
+    v=st.integers(min_value=0, max_value=2000),
+    u=st.integers(min_value=1, max_value=2**200),
+    sign=st.sampled_from((1, -1)),
+)
+@settings(max_examples=300, deadline=None)
+@example(p=3, v=978, u=2**199 + 1, sign=1)  # the valuation of the 1,552-bit Q_3 case
+def test_vp_matches_naive_loop(p, v, u, sign):
+    # u may itself be divisible by p, so the expected valuation is counted
+    # by the one-factor-at-a-time loop, not assumed to be v
+    n = m = sign * p**v * u
+    expected = 0
+    while m % p == 0:
+        m //= p
+        expected += 1
+    assert _vp(n, p) == expected
 
 
 @given(a=small_ints, b=small_ints)

@@ -444,6 +444,9 @@ class _QtElem:
     def __bool__(self):
         return any(self.coords)
 
+    def __add__(self, other):
+        return _QtElem(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+
     def __sub__(self, other):
         return _QtElem(self.field, [a - b for a, b in zip(self.coords, other.coords)])
 
@@ -474,6 +477,71 @@ class _QtElem:
                 if r != col and rows[r][col]:
                     rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
         return _QtElem(self.field, [row[n] for row in rows])
+
+
+# --- the fraction-field elements of Yun's algorithm
+
+_coordinate = st.one_of(
+    st.integers(min_value=-(2**1000), max_value=2**1000), st.integers(min_value=-9, max_value=9)
+)
+_smooth = st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c,
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+)
+# coordinates, a common factor of them and a denominator: smooth parts make
+# contents and denominators share factors, so both of Henrici's branches and
+# every cancellation are reached
+_kelem_spec = st.tuples(
+    st.lists(_coordinate, min_size=3, max_size=3),
+    _smooth,
+    st.one_of(_smooth, st.builds(lambda s, k: s * k, _smooth, st.integers(1, 2**64))),
+)
+
+
+def _kelem_pair(field, spec):
+    """A _KElem and the _QtElem of the same value, built from Fractions."""
+    coords, content, den = spec
+    q = [Fraction(c * content, den) for c in coords[: field.degree]]
+    d = math.lcm(*(x.denominator for x in q))
+    return polyring._KElem(field, tuple(int(x * d) for x in q), d), _QtElem(field, q)
+
+
+def _assert_same(x, ref):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1, (x.num, x.den)
+    assert len(x.num) == x.field.degree
+    assert tuple(Fraction(n, x.den) for n in x.num) == ref.coords
+
+
+@given(
+    which=st.integers(min_value=0, max_value=6),
+    a=_kelem_spec,
+    b=_kelem_spec,
+    k=st.builds(lambda s, k: s * k, _smooth, st.integers(-(2**64), 2**64)),
+)
+@settings(max_examples=150, deadline=None)
+@example(which=3, a=([0, 1, 0], 1, 2), b=([0, 1, 0], 1, 1), k=2)  # (t/2) t = 2/2 over E2
+@example(which=0, a=([1, 0, 0], 1, 6), b=([1, 0, 0], 1, 6), k=3)  # 1/6 + 1/6 = 2/6 = 1/3
+def test_kelem_matches_qt_reference(Q2, Q3, Q5, E2, U2, E2_cube, E3, which, a, b, k):
+    # every result equals the test-local Q(t) arithmetic and is in lowest
+    # terms with a positive denominator
+    field = (Q2, Q3, Q5, E2, U2, E2_cube, E3)[which]
+    (x, rx), (y, ry) = _kelem_pair(field, a), _kelem_pair(field, b)
+    _assert_same(x, rx)
+    _assert_same(x + y, rx + ry)
+    _assert_same(x - y, rx - ry)
+    _assert_same(-x, _QtElem(field, (0,) * field.degree) - rx)
+    _assert_same(x * y, rx * ry)
+    _assert_same(x.scale(k), rx * _QtElem(field, (k,) + (0,) * (field.degree - 1)))
+    if y:
+        _assert_same(y.inverse(), ry.inverse())
+        _assert_same(x * y.inverse(), rx * ry.inverse())
+    if x.den == 1:
+        assert x.to_ok() == field.element(x.num)
+    else:
+        with pytest.raises(ValueError):
+            x.to_ok()
 
 
 def _sylvester_over_qt(F, G):
@@ -560,34 +628,28 @@ def test_resultant_divides_by_a_non_integer_over_extensions(E2, monkeypatch):
 
 def _normalized_factor(G):
     """G made monic, then cleared of coordinate denominators, computed apart
-    from the library: over Q_2(sqrt 2), 1/(a + bt) = (a - bt) / (a^2 - 2b^2)."""
+    from the library on the test-local Q(t) arithmetic."""
     field = G.field
-    lc = G.lc.coords
-    if field.degree == 1:
-        inv = (Fraction(1, lc[0]),)
-    else:
-        assert field.defining == (-2, 0, 1)
-        a, b = lc
-        norm = a * a - 2 * b * b
-        inv = (Fraction(a, norm), Fraction(-b, norm))
-
-    def times_inv(coords):
-        if field.degree == 1:
-            return (coords[0] * inv[0],)
-        (a, b), (c, d) = coords, inv
-        return (a * c + 2 * b * d, a * d + b * c)
-
-    monic = [times_inv(c.coords) for c in G.coeffs]
-    s = math.lcm(*(Fraction(x).denominator for c in monic for x in c))
+    inv = _QtElem(field, G.lc.coords).inverse()
+    monic = [(_QtElem(field, c.coords) * inv).coords for c in G.coeffs]
+    s = math.lcm(*(x.denominator for c in monic for x in c))
     return IntPoly(field, [tuple(int(x * s) for x in c) for c in monic])
 
 
-def test_decompose_large_repeated_factor(Q3, E2):
+def test_decompose_large_repeated_factor(Q3, E2, U2, E3, E2_cube):
     # F = G1^2 G2 with coefficients of 1,000 bits and more: Yun's remainder
-    # sequence must come back to exactly the normalized G1 and G2
+    # sequence must come back to exactly the normalized G1 and G2.  Over E3
+    # (t^2 = -3) and Q_2(2^(1/3)) (t^3 = 2) reduction modulo the defining
+    # polynomial makes products of fractions gain content
     rng = random.Random(9)
-    t = E2.generator()
-    for field, top1, top2 in ((Q3, 7, -5), (E2, 3 + t, 5 - 2 * t)):
+    t, u, s, r = E2.generator(), U2.generator(), E3.generator(), E2_cube.generator()
+    for field, top1, top2 in (
+        (Q3, 7, -5),
+        (E2, 3 + t, 5 - 2 * t),
+        (U2, 3 + u, 2 - 5 * u),
+        (E3, 2 + s, 3 - 2 * s),
+        (E2_cube, 3 + r * r, 1 - 2 * r),
+    ):
         def big():
             return field.element(tuple(rng.randint(-(2**1000), 2**1000) for _ in range(field.degree)))
 
