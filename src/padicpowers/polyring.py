@@ -9,7 +9,8 @@ the fraction-field layer is private and every result that claims
 integrality is verified before it is returned.  Its elements, on which
 Yun's algorithm runs, are integer coordinates over one denominator in
 lowest terms, and their products run on the integer kernel
-LocalField._mul_vec.
+LocalField._mul_vec.  Yun's first gcd(F, F') keeps the leading coefficients
+of its remainders, which give ord Res(F, F') of a square-free F.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ZeroPolynomial
-from .localfield import LocalField, OKElem
+from .localfield import LocalField, OKElem, _vp
 from .powerclasses import is_pth_power
 
 __all__ = [
@@ -167,15 +168,16 @@ class IntPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        result = IntPoly(self.field, (1,))
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return IntPoly(self.field, (1,)) if result is None else result
 
     def __call__(self, x: CoeffLike) -> OKElem:
         field = self.field
@@ -452,35 +454,41 @@ def _kp_monic(a):
 
 
 def _kp_gcd(a, b):
-    """Monic gcd by Euclid on a monic remainder sequence.
+    """Monic gcd by Euclid on a monic remainder sequence, and the steps
+    (deg B, lc R) of its divisions A = Q B + R with R != 0.
 
     Each remainder is made monic before it divides, so its coefficients stay
     quotients of subresultants instead of carrying the growing scalar
     multiples of the plain sequence (Brown-Traub).
     """
     a, b = _kp_monic(a), _kp_monic(b)
+    steps = []
     while b:
-        a, b = b, _kp_monic(_kp_divmod(a, b)[1])
-    return a
+        r = _kp_divmod(a, b)[1]
+        if r:
+            steps.append((len(b) - 1, r[-1]))
+        a, b = b, _kp_monic(r)
+    return a, steps
 
 
-def _yun(a: tuple[_KElem, ...]) -> list[tuple[tuple[_KElem, ...], int]]:
-    """Square-free decomposition of a monic polynomial in characteristic 0."""
+def _yun(a: tuple[_KElem, ...]):
+    """Square-free decomposition of a monic polynomial in characteristic 0,
+    and the steps of its first gcd(a, a')."""
     d = _kp_derivative(a)
-    u = _kp_gcd(a, d)
+    u, steps = _kp_gcd(a, d)
     v = _kp_exact_div(a, u)
     w = _kp_exact_div(d, u)
     out = []
     i = 1
     while len(v) > 1:
         step = _kp_sub(w, _kp_derivative(v))
-        h = _kp_gcd(v, step)
+        h = _kp_gcd(v, step)[0]
         v = _kp_exact_div(v, h)
         w = _kp_exact_div(step, h)
         if len(h) > 1:
             out.append((h, i))
         i += 1
-    return out
+    return out, steps
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +517,29 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     Raises ZeroPolynomial on the zero input.  Constants decompose with an
     empty factor list.
     """
+    return _squarefree_decompose(F)[0]
+
+
+def _squarefree_decompose(F: IntPoly):
+    """squarefree_decompose(F), and for a square-free F of degree n >= 1 a
+    function giving ord Res(G, G') of its factor G = c a, a = F / lc(F).
+
+    Yun's first gcd runs on a and b = a' / n.  For monic A and B, R = c' R^
+    with R^ monic gives ord Res(A, B) = deg B ord c' + ord Res(B, R^), and
+    Res(B, c') = c'^deg B; so ord Res(a, a') = n ord n + sum deg B ord c'
+    over the steps of the gcd, and G = c a multiplies it by c^(2n - 1).
+    """
     if F.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     field = F.field
     lc = F.lc
     if F.degree == 0:
-        return SquareFreeDecomposition(lc=lc, factors=(), c=1)
+        return SquareFreeDecomposition(lc=lc, factors=(), c=1), None
     monic = _kp_monic(_kp_from_int(F))
     factors: list[tuple[IntPoly, int]] = []
     c = 1
-    for h, mult in _yun(monic):
+    parts, steps = _yun(monic)
+    for h, mult in parts:
         s = math.lcm(*(coeff.den for coeff in h))
         c *= s**mult
         factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
@@ -529,7 +550,15 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
         rhs = rhs * G**mult
     if F * c != rhs:  # pragma: no cover - would indicate an internal bug
         raise AssertionError("square-free decomposition identity failed")
-    return result
+    if len(factors) > 1 or factors[0][1] > 1:
+        return result, None
+
+    def res_ord() -> int:
+        p, e, n = field.p, field.e, F.degree
+        ords = sum(d * (field._ord_vec(r.num) - e * _vp(r.den, p)) for d, r in steps)
+        return e * ((2 * n - 1) * _vp(c, p) + n * _vp(n, p)) + ords
+
+    return result, res_ord
 
 
 def _power_free_part(F: IntPoly, dec: SquareFreeDecomposition) -> IntPoly:

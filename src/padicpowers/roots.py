@@ -27,9 +27,9 @@ from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
     _power_free_part,
+    _squarefree_decompose,
     reciprocal,
     resultant,
-    squarefree_decompose,
 )
 from .powerclasses import threshold_k0
 
@@ -174,15 +174,20 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
 
 class _SquareFree:
     """A square-free factor G of degree >= 1 with ord Res(G, G') and the
-    ring-root reports of G and of its reciprocal, each found on first use."""
+    ring-root reports of G and of its reciprocal, each found on first use.
+    _res_ord takes a resultant, unless the analysis of a square-free F put
+    in its place the one that reads Yun's remainder sequence."""
 
     def __init__(self, poly: IntPoly, field: LocalField):
         self.poly = poly
         self.field = field
 
+    def _res_ord(self) -> int:
+        return resultant(self.poly, self.poly.derivative()).ord()
+
     @cached_property
     def res_ord(self) -> int:
-        return resultant(self.poly, self.poly.derivative()).ord()
+        return self._res_ord()
 
     @property
     def rev_res_ord(self) -> int:
@@ -217,14 +222,20 @@ class _Analysis:
         self.field = field
 
     @cached_property
+    def _decomposed(self):
+        return _squarefree_decompose(self.F)
+
+    @property
     def decomposition(self) -> SquareFreeDecomposition:
-        return squarefree_decompose(self.F)
+        return self._decomposed[0]
 
     @cached_property
     def factors(self) -> tuple[tuple[_SquareFree, int], ...]:
-        return tuple(
-            (_SquareFree(G, self.field), mult) for G, mult in self.decomposition.factors
-        )
+        dec, res_ord = self._decomposed
+        factors = tuple((_SquareFree(G, self.field), mult) for G, mult in dec.factors)
+        if res_ord:  # F is square-free: Yun's first gcd(F, F') gives ord Res
+            factors[0][0]._res_ord = res_ord
+        return factors
 
     @cached_property
     def radical(self) -> _SquareFree:

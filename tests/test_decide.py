@@ -10,7 +10,6 @@ import pytest
 
 from conftest import rootless_power_free_suite
 from padicpowers import decide as decide_module
-from padicpowers import polyring as polyring_module
 from padicpowers import roots as roots_module
 from padicpowers import (
     BASE,
@@ -161,36 +160,24 @@ def test_ck_motivating_quartic(Q2):
     assert report.m_history == (0, 2)
 
 
-def test_ck_analyses_once(Q2, Q5, monkeypatch):
-    # one decomposition, one discriminant per factor for the scan bounds (its
-    # reciprocal shares it) and one ring-root search for the factor and one
-    # for its reciprocal
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for module in (decide_module, polyring_module, roots_module):
-        for name in ("squarefree_decompose", "resultant", "_ring_roots"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    # a member, scanned on both sides, and a polynomial with a root in the
-    # field, which needs no bounds and so no resultant
-    for field, F, resultants in ((Q2, P(Q2, 9, 0, 4, 0, 4), 1), (Q5, P(Q5, 2, 5), 0)):
-        calls.clear()
+def test_ck_analyses_once(Q2, Q5, analysis_calls):
+    # one decomposition, and one ring-root search for the factor and one for
+    # its reciprocal.  A member, scanned on both sides, whose scan bounds
+    # read ord Res(F, F') off Yun's first gcd as F is square-free, and a
+    # polynomial with a root in the field, which needs no bounds: neither
+    # computes a resultant
+    for field, F in ((Q2, P(Q2, 9, 0, 4, 0, 4)), (Q5, P(Q5, 2, 5))):
+        analysis_calls.clear()
         decide_CK(F, field)
-        expected = {"squarefree_decompose": 1, "resultant": resultants, "_ring_roots": 2}
-        assert calls == Counter(expected), str(F)
+        expected = {"squarefree_decompose": 1, "resultant": 0, "_ring_roots": 2}
+        assert analysis_calls == Counter(expected), str(F)
 
 
 # entry point, its arguments after F and the field, and its decompositions,
 # resultants and ring-root searches: one decomposition each, resultants only
 # for Krasner bounds (one per factor for the scan bounds, plus one for a
-# radical of several factors), and at most one search per factor and one
+# radical of several factors; none for a square-free F, whose ord Res(F, F')
+# comes from Yun's first gcd), and at most one search per factor and one
 # per reciprocal
 QUARTIC = (9, 0, 4, 0, 4)
 TWO_FACTOR = (9, 18, 31, 26, 25, 16, 16, 8, 4)  # the quartic times (x^2+x+1)^2
@@ -200,15 +187,15 @@ NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
 @pytest.mark.parametrize(
     "entry, args, field_name, coeffs, counts",
     [
-        (witness_bounds, (), "Q2", QUARTIC, (1, 1, 2)),
+        (witness_bounds, (), "Q2", QUARTIC, (1, 0, 2)),
         (witness_bounds, (), "Q2", TWO_FACTOR, (1, 1, 4)),
-        (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 1, 1)),
+        (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 0, 1)),
         (has_root_in_field, (), "Q2", QUARTIC, (1, 0, 2)),
         (has_root_in_field, (), "Q2", (-17, 0, 1), (1, 0, 1)),
         (root_multiplicity_report, (2,), "Q2", TWO_FACTOR, (1, 0, 2)),
         (class_spectrum, (), "Q3", NONIC, (1, 0, 2)),
         (class_spectrum, (), "Q2", TWO_FACTOR, (1, 0, 4)),
-        (decide_CZ, (), "Q2", QUARTIC, (1, 1, 1)),
+        (decide_CZ, (), "Q2", QUARTIC, (1, 0, 1)),
     ],
 )
 def test_entry_points_analyse_once(

@@ -116,6 +116,22 @@ def test_arithmetic_is_pointwise(Q3, a, b, point):
     assert (F * G)(x) == F(x) * G(x)
 
 
+def test_pow_is_the_repeated_product(Q2, E2, monkeypatch):
+    t = E2.generator()
+    for G in (P(Q2, 3, -1, 2), P(E2, t, 1 + t, 2)):
+        product = P(G.field, 1)
+        for k in range(7):
+            assert G**k == product
+            product = product * G
+    # G**1 is G itself: no product by 1 and no square thrown away
+    products = []
+    mul = IntPoly.__mul__
+    monkeypatch.setattr(IntPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    G = P(E2, t, 1 + t, 2)
+    assert G**1 == G
+    assert not products
+
+
 def test_derivative(Q2):
     assert P(Q2, 9, 0, 4, 0, 4).derivative() == P(Q2, 0, 8, 0, 16)
 

@@ -6,11 +6,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicpowers import (
     IntPoly,
+    make_ck_not_power,
     NotSquareFree,
     OKElem,
     has_root_in_field,
@@ -19,9 +20,11 @@ from padicpowers import (
     residues,
     root_multiplicity_report,
     roots_in_valuation_ring,
+    resultant,
+    stability_radius,
     threshold_k0,
 )
-from padicpowers.roots import _children, _descend
+from padicpowers.roots import _analyse, _children, _descend
 
 
 def P(field, *coeffs):
@@ -239,3 +242,59 @@ def test_descents_stay_on_their_roots(Q2, Q3, Q5, E2, U2, E2_cube, E3):
                     assert len(ords) - 1 - ords[::-1].index(min(ords)) == 1
                     steps += 1
     assert steps > 300
+
+
+coords3 = st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=3, max_size=3)
+
+
+@given(
+    which=st.integers(min_value=0, max_value=6),
+    coeffs=st.lists(coords3, min_size=2, max_size=7),
+    lc_shift=st.integers(min_value=0, max_value=3),
+    content=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=150, deadline=None)
+@example(which=0, coeffs=[[1, 0, 0], [0, 0, 0], [1, 0, 0]], lc_shift=2, content=1)  # 4x^2 + 1
+@example(which=3, coeffs=[[3, 1, 0], [1, 0, 0]], lc_shift=1, content=2)  # linear
+def test_res_ord_from_yun_matches_resultant(
+    Q2, Q3, Q5, E2, U2, E2_cube, E3, which, coeffs, lc_shift, content
+):
+    # a square-free F of degree 1 to 6, its leading coefficient times
+    # p^lc_shift and all of it times p^content: the ord Res(G, G') that
+    # the analysis reads off Yun's first gcd equals the resultant's
+    field = (Q2, Q3, Q5, E2, U2, E2_cube, E3)[which]
+    n = field.degree
+    vec = [c[:n] for c in coeffs]
+    vec[-1] = [x * field.p**lc_shift for x in vec[-1]]
+    F = IntPoly(field, vec) * field.p**content
+    assume(F and F.degree >= 1 and resultant(F, F.derivative()))
+    ((factor, mult),) = _analyse(F, field).factors
+    G = factor.poly
+    assert mult == 1
+    assert factor.res_ord == resultant(G, G.derivative()).ord()
+
+
+def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls):
+    # the 1,552-bit criterion-9 perturbation over Q_3 above the radius 977
+    # of its member takes its ord Res(G, G') from Yun, with no resultant
+    rng = random.Random(20260814)
+    F = make_ck_not_power(Q3, 2)
+    shift = Q3.uniformizer() ** 978
+    F += IntPoly(Q3, [Q3.element(rng.randint(-3, 3)) * shift for _ in range(F.degree + 1)])
+    assert F.height.bit_length() >= 1550
+    analysis_calls.clear()
+    ((factor, _),) = _analyse(F, Q3).factors
+    res_ord = factor.res_ord
+    assert analysis_calls == {"squarefree_decompose": 1}
+    G = factor.poly
+    assert res_ord == resultant(G, G.derivative()).ord()
+    # a non-square-free F still takes one resultant per factor that is asked
+    A, B = P(Q2, 3, 1, 4), P(Q2, 1, 2)
+    t = E2.generator()
+    for field, H, k in ((Q2, A**2 * B, 2), (Q2, A * B**4, 2), (E2, P(E2, t, 1) ** 3, 1)):
+        analysis_calls.clear()
+        factors = _analyse(H, field).factors
+        assert len(factors) == k
+        ords = [factor.res_ord for factor, _ in factors]
+        assert analysis_calls == {"squarefree_decompose": 1, "resultant": k}, str(H)
+        assert ords == [resultant(G, G.derivative()).ord() for G in (f.poly for f, _ in factors)]

@@ -9,9 +9,12 @@ Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
 - squarefree_decompose and reduce_power_free
 - the ring-root report of every square-free factor
 - decide_CK, decide_CZ (on the power-free part) and class_spectrum
-- stability_radius
+- stability_radius, witness_bounds and krasner_upper_bound
 - is_perfect_pth_power_poly of each of those polynomials and of G^p for a
   seeded G
+- over Q_3 and Q_2(sqrt 2), decide_CK and stability_radius of a seeded
+  perturbation of make_ck_not_power (m = 2 and 5) above its stability
+  radius
 
 and prints the sha256 of their canonical serialization.  Two checkouts that
 print the same digest for a seed give the same outputs on all of it, so a
@@ -42,6 +45,8 @@ FIELDS = {
     "U2": (2, pp.UNRAMIFIED, (1, 1, 1)),
     "E3": (3, pp.EISENSTEIN, (3, 0, 1)),
 }
+# the fields whose make_ck_not_power(K, m) is perturbed above its radius
+PERTURBED = {"Q3": 2, "E2": 5}
 
 
 def canon(x):
@@ -123,9 +128,18 @@ def field_items(name: str, rng: random.Random):
         yield outcome(lambda: pp.decide_CZ(pp.reduce_power_free(F, p), K))
         yield outcome(pp.class_spectrum, F, K)
         yield outcome(pp.stability_radius, F, K)
+        yield outcome(pp.witness_bounds, F, K)
+        yield outcome(pp.krasner_upper_bound, F, K)
         yield outcome(pp.is_perfect_pth_power_poly, F, p)
         G = draw(rng, K, rng.randint(1, 2), 3, rng.random() < 0.3)
         yield outcome(pp.is_perfect_pth_power_poly, G**p, p)
+    if name in PERTURBED:
+        F = pp.make_ck_not_power(K, PERTURBED[name])
+        shift = K.uniformizer() ** (pp.stability_radius(F, K) + 1)
+        delta = [K.element([rng.randint(-3, 3) for _ in range(K.degree)]) for _ in F.coeffs]
+        G = F + pp.IntPoly(K, [shift * c for c in delta])
+        yield outcome(pp.decide_CK, G, K)
+        yield outcome(pp.stability_radius, G, K)
 
 
 def digest(seed: int) -> str:
