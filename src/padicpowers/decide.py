@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     DegreeTooSmall,
@@ -243,13 +243,13 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     classes: Optional[set[PowerClassId]] = set() if collect else None
     pi = field.uniformizer()
     shift = field.one()
-    # (point, coefficient coordinates, ord c_0 when the point was tested)
-    nodes: list[tuple[OKElem, list[tuple[int, ...]], Optional[int]]] = [
-        (field.zero(), [c.coords for c in F.coeffs], None)
+    # (point builder, coefficient coordinates, ord c_0 when the point was tested)
+    nodes: list[tuple[Callable[[], OKElem], list[tuple[int, ...]], Optional[int]]] = [
+        (field.zero, [c.coords for c in F.coeffs], None)
     ]
     while nodes:
         children = []
-        for a, coeffs, v in nodes:
+        for point, coeffs, v in nodes:
             if v is None:
                 value = OKElem(field, coeffs[0])
                 if not value:
@@ -257,7 +257,7 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
                 if collect:
                     classes.add(class_of(value, field))
                 elif not is_pth_power(value, field):
-                    return m, tuple(history), (a, class_of(value, field)), classes
+                    return m, tuple(history), (point(), class_of(value, field)), classes
                 v = value.ord()
                 if v > m:
                     m = v
@@ -267,7 +267,7 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
             moduli = _moduli(field, v + M)
             if all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
                 continue
-            split = _children(a, coeffs, shift, M, field)
+            split = _children(point(), coeffs, shift, M, field)
             children += [(b, c, None if i else v) for i, (b, c) in enumerate(split)]
         nodes = children
         shift = shift * pi

@@ -9,8 +9,14 @@ the fraction-field layer is private and every result that claims
 integrality is verified before it is returned.  Its elements, on which
 Yun's algorithm runs, are integer coordinates over one denominator in
 lowest terms, and their products run on the integer kernel
-LocalField._mul_vec.  Yun's first gcd(F, F') keeps the leading coefficients
-of its remainders, which give ord Res(F, F') of a square-free F.
+LocalField._mul_vec; an inverse solves the integer system of
+multiplication by the element with Bareiss's elimination.  Yun's first
+gcd(F, F') keeps the leading coefficients of its remainders, which give
+ord Res(F, F') of a square-free F.  A wide F, of height at least 2^512,
+is first decomposed at working precision: Yun runs on F's coordinates
+reduced modulo p^N, and since Res(F, F') is congruent to the reduced
+copy's resultant modulo p^N, a square-free copy whose resultant has ord
+below e N certifies that F is square-free with the same ord.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
@@ -28,12 +34,11 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ZeroPolynomial
 from .localfield import LocalField, OKElem, _vp
-from .powerclasses import is_pth_power
+from .powerclasses import _balanced, _moduli, is_pth_power
 
 __all__ = [
     "IntPoly",
@@ -243,44 +248,25 @@ def reciprocal(F: IntPoly) -> IntPoly:
 # private fraction-field layer
 
 
-def _fp_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        coef = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for j, bj in enumerate(b):
-            a[shift + j] -= coef * bj
-        a = _fp_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def _fp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fp_trim(out)
-
-
-def _fp_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _fp_trim(out)
+def _solve(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """D and D y for the integer system A y = c given as the rows of
+    [A | c], A invertible: Bareiss's fraction-free elimination, whose last
+    pivot D = +-det A makes D y integral by Cramer's rule, so every
+    division, also in the back substitution, is exact."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        i = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        x[k] = (prev * row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
+    return prev, x
 
 
 class _KElem:
@@ -350,21 +336,17 @@ class _KElem:
         if n == 1:
             a = self.num[0]
             return _KElem(self.field, (-self.den,) if a < 0 else (self.den,), abs(a))
-        # extended Euclid in Q[t] against the (irreducible) defining polynomial,
-        # tracking only the cofactor of num: s_k * num == r_k (mod defining)
-        g = [Fraction(c) for c in self.field.defining]
-        r0, r1 = g, _fp_trim(list(map(Fraction, self.num)))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _fp_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
-            if not r1:
-                raise ZeroDivisionError("element shares a factor with the defining polynomial")
-        inv = [c * self.den / r1[0] for c in s1] + [Fraction(0)] * (n - len(s1))
-        # the lcm of the coordinate denominators is the lowest-terms den
-        den = math.lcm(*(c.denominator for c in inv))
-        return _KElem(self.field, tuple(int(c * den) for c in inv), den)
+        # num y = 1 is M y = e_0, M the matrix of multiplication by num,
+        # whose column j holds the coordinates of num t^j
+        t = (0, 1) + (0,) * (n - 2)
+        cols = [self.num]
+        for _ in range(n - 1):
+            cols.append(self.field._mul_vec(cols[-1], t))
+        d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
+        # 1/self = den y / d, in lowest terms with a positive denominator
+        num = [x * self.den for x in y]
+        g = math.gcd(d, *num) if d > 0 else -math.gcd(d, *num)
+        return _KElem(self.field, tuple(x // g for x in num), d // g)
 
     def to_ok(self) -> OKElem:
         if self.den != 1:
@@ -514,8 +496,14 @@ class SquareFreeDecomposition:
 def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     """Yun decomposition over the fraction field plus denominator clearing.
 
-    Raises ZeroPolynomial on the zero input.  Constants decompose with an
-    empty factor list.
+    A polynomial of height at least 2^512 is first tried at working
+    precision: when its copy modulo p^N, for some p^N of at most an eighth
+    of its bits, is square-free with ord Res below e N, the resultant
+    congruence certifies that F is square-free, and F's one factor is
+    returned; otherwise, and for every narrower polynomial, Yun runs on F
+    itself.  Either way the identity below is verified.  Raises
+    ZeroPolynomial on the zero input.  Constants decompose with an empty
+    factor list.
     """
     return _squarefree_decompose(F)[0]
 
@@ -524,21 +512,53 @@ def _squarefree_decompose(F: IntPoly):
     """squarefree_decompose(F), and for a square-free F of degree n >= 1 a
     function giving ord Res(G, G') of its factor G = c a, a = F / lc(F).
 
+    A wide F, of height at least 2^512, is first tried at working precision
+    (_at_working_precision); narrow input and every F it cannot certify
+    take the exact decomposition.
+    """
+    if F.is_zero:
+        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    if F.degree == 0:
+        return SquareFreeDecomposition(lc=F.lc, factors=(), c=1), None
+    bits = F.height.bit_length()
+    if bits > 512:
+        found = _at_working_precision(F, bits)
+        if found:
+            return found
+    return _exact_decompose(F)
+
+
+def _exact_decompose(F: IntPoly):
+    """_squarefree_decompose of a nonconstant F by Yun over the fraction
+    field.
+
     Yun's first gcd runs on a and b = a' / n.  For monic A and B, R = c' R^
     with R^ monic gives ord Res(A, B) = deg B ord c' + ord Res(B, R^), and
     Res(B, c') = c'^deg B; so ord Res(a, a') = n ord n + sum deg B ord c'
     over the steps of the gcd, and G = c a multiplies it by c^(2n - 1).
     """
-    if F.is_zero:
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
+    field = F.field
+    parts, steps = _yun(_kp_monic(_kp_from_int(F)))
+    result = _cleared(F, parts)
+    if len(parts) > 1 or parts[0][1] > 1:
+        return result, None
+
+    def res_ord() -> int:
+        p, e, n = field.p, field.e, F.degree
+        ords = sum(d * (field._ord_vec(r.num) - e * _vp(r.den, p)) for d, r in steps)
+        return e * ((2 * n - 1) * _vp(result.c, p) + n * _vp(n, p)) + ords
+
+    return result, res_ord
+
+
+def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
+    """The decomposition of F from its monic Yun factors with their
+    multiplicities: each factor cleared by the lcm of its coordinate
+    denominators, and the identity c F = lc prod G^m verified."""
     field = F.field
     lc = F.lc
-    if F.degree == 0:
-        return SquareFreeDecomposition(lc=lc, factors=(), c=1), None
-    monic = _kp_monic(_kp_from_int(F))
     factors: list[tuple[IntPoly, int]] = []
     c = 1
-    parts, steps = _yun(monic)
     for h, mult in parts:
         s = math.lcm(*(coeff.den for coeff in h))
         c *= s**mult
@@ -550,15 +570,43 @@ def _squarefree_decompose(F: IntPoly):
         rhs = rhs * G**mult
     if F * c != rhs:  # pragma: no cover - would indicate an internal bug
         raise AssertionError("square-free decomposition identity failed")
-    if len(factors) > 1 or factors[0][1] > 1:
-        return result, None
+    return result
 
-    def res_ord() -> int:
-        p, e, n = field.p, field.e, F.degree
-        ords = sum(d * (field._ord_vec(r.num) - e * _vp(r.den, p)) for d, r in steps)
-        return e * ((2 * n - 1) * _vp(c, p) + n * _vp(n, p)) + ords
 
-    return result, res_ord
+def _at_working_precision(F: IntPoly, bits: int):
+    """_squarefree_decompose of a square-free F whose height has the given
+    bit length, certified from a copy of F modulo p^N, or None.
+
+    The copy F^, every coordinate of F reduced modulo p^N with balanced
+    representatives, is decomposed exactly, for p^N the least power of p
+    past 2^64, 2^128, 2^256, ... while p^N has at most an eighth of F's
+    bits.  When F^ keeps F's degree, the Sylvester determinant gives
+    Res(F, F') = Res(F^, F^') (mod p^N); so a square-free F^ with
+    ord Res(F^, F^') < e N makes F square-free with the same ord, and F's
+    one factor G = c F / lc(F) has ord Res(G, G') = ord Res(F, F') +
+    (2n - 1) ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F').
+    Every other case, a zero F^, a lower degree, a repeated factor or an
+    ord of e N or more, goes on to the next precision.
+    """
+    field = F.field
+    p, e, n = field.p, field.e, F.degree
+    N, q, word = 0, 1, 64
+    while True:
+        while q >> word == 0:
+            q, N = q * p, N + 1
+        if 8 * q.bit_length() > bits:
+            return None
+        moduli = _moduli(field, e * N)
+        reduced = IntPoly(field, [_balanced(coeff.coords, moduli) for coeff in F.coeffs])
+        if reduced and reduced.degree == n:
+            dec, res_ord = _exact_decompose(reduced)
+            if res_ord:
+                res = res_ord() - (2 * n - 1) * (e * _vp(dec.c, p) - reduced.lc.ord())
+                if res < e * N:
+                    result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
+                    ord_c = e * _vp(result.c, p) - F.lc.ord()
+                    return result, lambda: res + (2 * n - 1) * ord_c
+        word *= 2
 
 
 def _power_free_part(F: IntPoly, dec: SquareFreeDecomposition) -> IntPoly:

@@ -54,6 +54,16 @@ def _moduli(field: LocalField, k: int) -> tuple[int, ...]:
     return (p**k,) * field.degree
 
 
+def _balanced(coords: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates congruent to coords modulo the lattice given by its
+    moduli, each in (-m/2, m/2]."""
+    out = []
+    for c, m in zip(coords, moduli):
+        r = c % m
+        out.append(r - m if 2 * r > m else r)
+    return tuple(out)
+
+
 def _key(x: OKElem, moduli: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical key of x modulo the lattice given by its moduli."""
     return tuple(c % m for c, m in zip(x.coords, moduli))

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 from .errors import NotSquareFree, ZeroPolynomial
-from .localfield import BASE, EISENSTEIN, LocalField, OKElem, residues
+from .localfield import BASE, LocalField, OKElem, residues
 from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
@@ -31,7 +31,7 @@ from .polyring import (
     reciprocal,
     resultant,
 )
-from .powerclasses import threshold_k0
+from .powerclasses import _balanced, _moduli, threshold_k0
 
 __all__ = [
     "PadicRootReport",
@@ -90,16 +90,16 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     pi = field.uniformizer()
     shift = field.one()
     level = 0
-    nodes = [(field.zero(), [c.coords for c in G.coeffs])]
+    nodes = [(field.zero, [c.coords for c in G.coeffs])]
     while nodes:
         children = []
-        for a, coeffs in nodes:
+        for point, coeffs in nodes:
             ords = [field._ord_vec(c) for c in coeffs]
             k_star = len(ords) - 1 - ords[::-1].index(min(ords))
             if k_star == 1 and ords[0] > 2 * (ords[1] - level):
-                roots.append(RootApproximation(a, ords[0] - ords[1] + level, True))
+                roots.append(RootApproximation(point(), ords[0] - ords[1] + level, True))
             elif k_star:  # a class with k* = 0 holds no root
-                children += _children(a, coeffs, shift, 1, field)
+                children += _children(point(), coeffs, shift, 1, field)
         nodes = children
         shift = shift * pi
         level += 1
@@ -126,11 +126,12 @@ def _descend(G: IntPoly, root: RootApproximation):
         scale = mul(scale, shift.coords)
         coeffs[k] = mul(coeffs[k], scale)
     while True:
-        a, coeffs = next(
+        point, coeffs = next(
             (b, c)
             for b, c in _children(a, coeffs, shift, 1, field)
             if len(c) > 1 and field._ord_vec(c[0]) >= min(map(field._ord_vec, c[1:]))
         )
+        a = point()
         shift = shift * pi
         level += 1
         yield RootApproximation(a, level, False)
@@ -138,10 +139,11 @@ def _descend(G: IntPoly, root: RootApproximation):
 
 def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
     """The p^f children of the Taylor node (a, L, coeffs), shift = pi^L: for
-    each digit r in residues(field, 1) order, the point a + pi^L r and
-    the coefficients of G(a + pi^L (r + pi y)), which are the parent's
-    shifted by r, by repeated synthetic division, with c_k then scaled by
-    pi^k.  The first child, r = 0, keeps the point a and the value c_0.
+    each digit r in residues(field, 1) order, a function that builds the
+    point a + pi^L r, called only where the point is read, and the
+    coefficients of G(a + pi^L (r + pi y)), which are the parent's shifted
+    by r, by repeated synthetic division, with c_k then scaled by pi^k.
+    The first child, r = 0, has the point a and keeps the value c_0.
 
     As ord pi = 1 and r and the binomials are integral, ord c'_k >= k +
     min_{j>=k} ord c_j >= 1 + min_{j>=1} ord c_j =: b for k >= 1.  The first
@@ -167,9 +169,14 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
                 break
         else:
             c = [mul(x, s) for x, s in zip(c, scales)]
-        point = tuple(map(operator.add, a.coords, mul(shift.coords, r.coords)))
-        out.append((OKElem(field, point), c))
+        out.append((partial(_child_point, a, shift, r), c))
     return out
+
+
+def _child_point(a: OKElem, shift: OKElem, r: OKElem) -> OKElem:
+    """a + shift r, the point of a child."""
+    field = a.field
+    return OKElem(field, tuple(map(operator.add, a.coords, field._mul_vec(shift.coords, r.coords))))
 
 
 class _SquareFree:
@@ -333,24 +340,13 @@ def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
         for depth in depths:
             while root.precision < depth:
                 root = next(deeper)
-            w = _balanced_lift(root.truncation, field, depth)
+            w = OKElem(field, _balanced(root.truncation.coords, _moduli(field, depth)))
             if w**p == x:
                 out.append(w)
                 break
     if p == 2:
         out.sort(key=lambda w: next(c for c in w.coords if c) < 0)
     return out
-
-
-def _balanced_lift(a: OKElem, field: LocalField, depth: int) -> OKElem:
-    """Representative of a mod the depth-th ideal power with small
-    coordinates (over an Eisenstein field, depth > e)."""
-    out = []
-    for j, coord in enumerate(a.coords):
-        m = field.p ** (-((j - depth) // field.e) if field.kind == EISENSTEIN else depth)
-        r = coord % m
-        out.append(r - m if 2 * r > m else r)
-    return OKElem(field, tuple(out))
 
 
 def is_perfect_pth_power_poly(F: IntPoly, p: int) -> IntPoly | None:

@@ -19,6 +19,7 @@ from padicpowers import (
     is_perfect_pth_power_poly,
     is_power_free,
     iter_residues,
+    make_ck_not_power,
     make_field,
     necessary_conditions,
     oracle_is_pth_power,
@@ -26,6 +27,7 @@ from padicpowers import (
     reduce_power_free,
     resultant,
     squarefree_decompose,
+    stability_radius,
     threshold_k0,
 )
 from padicpowers.oracle import _evaluate
@@ -676,3 +678,101 @@ def test_decompose_large_repeated_factor(Q3, E2, U2, E3, E2_cube):
         dec = squarefree_decompose(F)
         assert dec.lc == F.lc
         assert dec.factors == ((_normalized_factor(G2), 1), (_normalized_factor(G1), 2))
+
+
+# --- decomposition at working precision
+
+
+def _least_power_past(p, bits):
+    """The least N with p^N >= 2^bits."""
+    N = 0
+    while p**N < 2**bits:
+        N += 1
+    return N
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The argument of every exact decomposition, in call order."""
+    seen = []
+    exact = polyring._exact_decompose
+
+    def spy(F):
+        seen.append(F)
+        return exact(F)
+
+    monkeypatch.setattr(polyring, "_exact_decompose", spy)
+    return seen
+
+
+def test_wide_decomposition_runs_at_working_precision(Q3, E2, exact_calls):
+    # the 1,552-bit criterion-9 perturbation over Q_3 reaches the exact
+    # decomposition only as copies with coordinates of at most two machine
+    # words; the narrow one over Q_2(sqrt 2), 44 bits, reaches it as it is
+    rng = random.Random(20260814)
+    for field, m in ((Q3, 2), (E2, 5)):
+        F = make_ck_not_power(field, m)
+        shift = field.uniformizer() ** (stability_radius(F, field) + 1)
+        F += IntPoly(field, [field.element(rng.choice((-2, -1, 1, 2))) * shift for _ in F.coeffs])
+        exact_calls.clear()
+        dec, res_ord = polyring._squarefree_decompose(F)
+        assert res_ord() == resultant(dec.factors[0][0], dec.factors[0][0].derivative()).ord()
+        if field is Q3:
+            assert F.height.bit_length() >= 1550
+            assert exact_calls and all(G.height.bit_length() <= 128 for G in exact_calls)
+        else:
+            assert F.height.bit_length() <= 63
+            assert exact_calls == [F]
+
+
+def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_calls):
+    # on wide F of 600 to 3,000 bits the decomposition, factors and c, is the
+    # exact one, and a square-free F's res_ord is ord Res(G, G'), whether F
+    # is certified at the first precision p^N >= 2^64, at a later one, or
+    # at none, when the exact decomposition takes F itself
+    rng = random.Random(20261019)
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
+        p, e = field.p, field.e
+        q = field.element(p)
+        pN = q ** _least_power_past(p, 64)
+
+        def wide(degree, bits, top=1):
+            def coeff():
+                return field.element([rng.randint(-(2**bits), 2**bits) for _ in range(field.degree)])
+
+            return IntPoly(field, [coeff() for _ in range(degree)] + [top])
+
+        a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
+        close = q ** _least_power_past(p, 80)
+        cases = [
+            ("square-free", wide(1, 900), True),
+            ("square-free", wide(3, 700), True),
+            ("square-free", wide(2, 2900, top=3), True),
+            ("G1^2 G2", wide(1, 300, top=2) ** 2 * wide(2, 300), False),
+            # two roots p^k apart, p^k >= 2^80: ord Res(F, F') >= 2 e k exceeds
+            # e N at the first precision, the only one under the cap
+            ("ord past the cap", P(field, -a, 1) * P(field, -a - close, 1) * wide(2, 700), False),
+            # the degree drops at the first precision, and a 1,100-bit F
+            # goes on to p^N >= 2^128
+            ("lc in p^N", wide(3, 700, top=pN), False),
+            ("lc in p^N", wide(3, 1100, top=pN * 3), True),
+            ("F in p^N", wide(3, 700) * pN, False),
+        ]
+        member = make_ck_not_power(field, e * p // (p - 1) + 1)
+        radius = stability_radius(member, field)
+        # Q_5's radius, 37,007, puts its perturbations past 80,000 bits
+        if radius < e * _least_power_past(p, 2900):
+            shift = field.uniformizer() ** max(radius + 1, e * _least_power_past(p, 600))
+            delta = IntPoly(field, [shift * rng.randint(-3, 3) for _ in member.coeffs])
+            cases.append(("criterion 9", member + delta, True))
+        for case, F, certified in cases:
+            assert 600 <= F.height.bit_length() <= 3000, (case, field)
+            exact_calls.clear()
+            dec, res_ord = polyring._squarefree_decompose(F)
+            assert (F not in exact_calls) == certified, (case, field)
+            exact_dec, exact_res_ord = polyring._exact_decompose(F)
+            assert dec == exact_dec, (case, field)
+            assert (res_ord is None) == (exact_res_ord is None), (case, field)
+            if res_ord:
+                G = dec.factors[0][0]
+                assert res_ord() == exact_res_ord() == resultant(G, G.derivative()).ord()

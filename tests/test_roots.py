@@ -195,7 +195,7 @@ def test_children_settle_like_their_expansion(Q2, Q3, Q5, E2, U2, E2_cube, E3):
                 node = [c.coords for c in G.coeffs]
                 children = _children(field.zero(), node, field.one(), margin, field)
                 for (point, got), r in zip(children, residues(field, 1)):
-                    assert point == r
+                    assert point() == r
                     full = IntPoly(field, ())
                     for j, c in enumerate(G.coeffs):
                         full = full + IntPoly(field, (r, pi)) ** j * c
@@ -276,7 +276,8 @@ def test_res_ord_from_yun_matches_resultant(
 
 def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls):
     # the 1,552-bit criterion-9 perturbation over Q_3 above the radius 977
-    # of its member takes its ord Res(G, G') from Yun, with no resultant
+    # of its member takes its ord Res(G, G') from Yun on its copy modulo
+    # p^N, shifted to G by the resultant congruence, with no resultant
     rng = random.Random(20260814)
     F = make_ck_not_power(Q3, 2)
     shift = Q3.uniformizer() ** 978

@@ -15,6 +15,12 @@ Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
 - over Q_3 and Q_2(sqrt 2), decide_CK and stability_radius of a seeded
   perturbation of make_ck_not_power (m = 2 and 5) above its stability
   radius
+- over Q_3 and Q_2(sqrt 2), the decomposition, power-free part, decide_CK,
+  witness_bounds and krasner_upper_bound of wide polynomials, 700 to 1,700
+  bits, built from Eisenstein ones: a G1^2 G2, a square-free F whose
+  ord Res(F, F') is past every working precision tried, and F whose
+  leading coefficient or content is divisible by the first one,
+  p^N >= 2^64
 
 and prints the sha256 of their canonical serialization.  Two checkouts that
 print the same digest for a seed give the same outputs on all of it, so a
@@ -45,7 +51,8 @@ FIELDS = {
     "U2": (2, pp.UNRAMIFIED, (1, 1, 1)),
     "E3": (3, pp.EISENSTEIN, (3, 0, 1)),
 }
-# the fields whose make_ck_not_power(K, m) is perturbed above its radius
+# the fields whose make_ck_not_power(K, m) is perturbed above its radius,
+# and that get wide polynomials
 PERTURBED = {"Q3": 2, "E2": 5}
 
 
@@ -94,6 +101,38 @@ def draw(rng: random.Random, K, degree: int, bits: int, sparse: bool):
     return pp.IntPoly(K, [coeff() for _ in range(degree)] + [lead])
 
 
+def eisenstein(rng: random.Random, K, degree: int, bits: int, top=1):
+    """top x^degree plus pi times coordinates below 2^bits, with a constant
+    term of ord 1: Eisenstein, so irreducible, when top is a unit."""
+    pi = K.uniformizer()
+
+    def wide():
+        return K.element([rng.randint(-(2**bits), 2**bits) for _ in range(K.degree)])
+
+    rest = [pi * wide() for _ in range(degree - 1)]
+    return pp.IntPoly(K, [pi * (1 + pi * wide())] + rest + [top])
+
+
+def wide_polys(rng: random.Random, K):
+    """The wide polynomials over K.  The working precision certifies the
+    one with leading coefficient 3 p^N, wide enough to reach p^N >= 2^128,
+    and passes the others on to the exact decomposition."""
+    p = K.p
+    q = K.element(p)
+    first = q ** next(N for N in range(1, 65) if p**N >= 2**64)
+    A = eisenstein(rng, K, 2, 400)
+    # A and A + pi p^k, p^k >= 2^300, have roots close enough that
+    # ord Res(F, F') is past the widest precision tried, p^N >= 2^128
+    close = A + K.uniformizer() * q ** next(k for k in range(1, 301) if p**k >= 2**300)
+    return [
+        eisenstein(rng, K, 2, 300) ** 2 * eisenstein(rng, K, 2, 300),
+        A * close * eisenstein(rng, K, 2, 800),
+        eisenstein(rng, K, 3, 700, first),
+        eisenstein(rng, K, 3, 1100, first * 3),
+        eisenstein(rng, K, 3, 700) * first,
+    ]
+
+
 def field_items(name: str, rng: random.Random):
     p, kind, poly = FIELDS[name]
     K = pp.make_field(p, kind, poly)
@@ -140,6 +179,12 @@ def field_items(name: str, rng: random.Random):
         G = F + pp.IntPoly(K, [shift * c for c in delta])
         yield outcome(pp.decide_CK, G, K)
         yield outcome(pp.stability_radius, G, K)
+        for F in wide_polys(rng, K):
+            yield outcome(pp.squarefree_decompose, F)
+            yield outcome(pp.reduce_power_free, F, p)
+            yield outcome(pp.decide_CK, F, K)
+            yield outcome(pp.witness_bounds, F, K)
+            yield outcome(pp.krasner_upper_bound, F, K)
 
 
 def digest(seed: int) -> str:
