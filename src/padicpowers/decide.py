@@ -160,12 +160,11 @@ def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
     card = Fraction(e * f * p, p - 1) + f * (max_ord - lc_ord) + f * lc_ord
     pejkovic: Optional[float] = None
     if field.kind == BASE and d >= 1:
-        height = F.height
-        pejkovic = (
-            p / (p - 1)
-            + 1.5 * d * d * (math.log(d) / math.log(p)) * height ** (1 - d)
-            + lc_ord
-        )
+        try:
+            decay = F.height ** (1 - d)
+        except OverflowError:  # height >= 2^1024: the term is below 2^-1023
+            decay = 0.0
+        pejkovic = p / (p - 1) + 1.5 * d * d * (math.log(d) / math.log(p)) * decay + lc_ord
     return BoundsReport(
         kras_upper=kras,
         max_ord_bound=max_ord,

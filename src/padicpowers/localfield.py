@@ -295,6 +295,31 @@ class LocalField:
                     conv[i + j] += ai * bj
         return tuple(self._reduce_vec(conv))
 
+    def _unit_part(self, coords: Sequence[int], v: int, k: int) -> tuple[int, ...]:
+        """Coordinates congruent to x / pi^v modulo pi^k, for x of ord >= v.
+
+        Outside the Eisenstein model p^v divides every coordinate.  In it,
+        each of v steps takes x / t = (c_1, ..., c_(e-1), 0) - s (g_1, ...,
+        g_(e-1), 1) with g_0 = p w and s = (c_0 / p) w^-1 modulo p^N.  With
+        N = ceil((k + v) / e) each step's error, a multiple of p^N, stays
+        past pi^k through the steps after it."""
+        p = self.p
+        if not v:
+            return tuple(coords)
+        if self.kind != EISENSTEIN:
+            q = p**v
+            return tuple([c // q for c in coords])
+        g = self.defining
+        m = p ** -(-(k + v) // self.e)
+        w_inv = pow(g[0] // p, -1, m)
+        c = list(coords)
+        for _ in range(v):
+            s = c[0] // p * w_inv % m
+            for i in range(1, self.e):
+                c[i - 1] = c[i] - s * g[i]
+            c[-1] = -s
+        return tuple(c)
+
     # -- valuation ------------------------------------------------------------
 
     def ord(self, x: "OKElem") -> Union[int, float]:
@@ -540,30 +565,26 @@ def reduce_mod(x: OKElem, field: LocalField, k: int) -> OKElem:
     """Canonical representative of x modulo the k-th power of the maximal ideal.
 
     The result is the unique element of residues(field, k) congruent to x.
+    Over an Eisenstein field its k digits are read one at a time, each from
+    the constant coordinate of a quotient by pi (LocalField._unit_part).
     """
     if x.field != field:
         raise ValueError("element belongs to a different field")
     if k < 1:
         raise ValueError("k must be >= 1")
     p = field.p
-    if field.kind == BASE:
-        return field.element(x.coords[0] % p**k)
-    if field.kind == UNRAMIFIED:
+    if field.kind != EISENSTEIN:
         m = p**k
         return field.element(tuple(c % m for c in x.coords))
-    # totally ramified: peel digits, testing each candidate in {0, ..., p-1}
     gen = field.generator()
     partial = field.zero()
     power = field.one()
+    coords = x.coords
     for i in range(k):
-        for digit in range(p):
-            candidate = partial + power * digit
-            if (x - candidate).ord() >= i + 1:
-                partial = candidate
-                break
-        else:  # pragma: no cover - would indicate broken field arithmetic
-            raise AssertionError("no digit matched during reduction")
+        digit = coords[0] % p
+        partial = partial + power * digit
         power = power * gen
+        coords = field._unit_part((coords[0] - digit,) + coords[1:], 1, k - i)
     return partial
 
 

@@ -3,9 +3,9 @@
 The unit classes are detected at a finite precision threshold k0: once two
 units agree modulo pi^k0, with k0 past ord(p) * p / (p - 1), their ratio is
 a p-th power.  So the class of x = pi^v * u is fixed by v mod p and by the
-residue of the unit u modulo pi^k0, which x fixes through its own residue
-modulo pi^(v + k0).  Every question therefore becomes one dict lookup keyed
-by a canonical residue.
+residue of the unit part u = x / pi^v modulo pi^k0 (LocalField._unit_part).
+The field has one table, over its units modulo pi^k0, and every question
+becomes one dict lookup in it, keyed by a canonical residue.
 
 The key.  Write x = sum c_i t^i in the model's power basis.  The model's
 valuation is ord x = min(e * v_p(c_i) + i) in the Eisenstein model and
@@ -14,13 +14,14 @@ spanned by p^ceil((k - i) / e) * t^i (by p^k * t^i outside the Eisenstein
 model; a nonpositive exponent means modulus 1).  Subtraction acts on
 coordinates, so x and y agree modulo pi^k exactly when every c_i agrees
 with c'_i modulo its lattice modulus, and the tuple of coordinates reduced
-by those moduli is a canonical key of x modulo pi^k.  It needs no division
-and no digit peeling.
+by those moduli is a canonical key of x modulo pi^k.  It needs no digit
+peeling.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,67 +65,45 @@ def _balanced(coords: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def _key(x: OKElem, moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical key of x modulo the lattice given by its moduli."""
-    return tuple(c % m for c, m in zip(x.coords, moduli))
-
-
-def _threshold_units(field: LocalField) -> list[OKElem]:
-    return [c for c in residues(field, threshold_k0(field)) if c.is_unit()]
+def _key(coords: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical key of coordinates modulo the lattice given by its moduli."""
+    return tuple(map(operator.mod, coords, moduli))
 
 
 @lru_cache(maxsize=64)
 def _unit_class_reps(
     field: LocalField,
-) -> tuple[tuple[OKElem, ...], dict[tuple[int, ...], int]]:
-    """Partition of the threshold units into power classes, by coset filling.
+) -> tuple[tuple[OKElem, ...], dict[tuple[int, ...], int], tuple[int, ...], int]:
+    """The one power-class table of the field, built by coset filling.
 
-    Returns the class representatives, and a dict from the key modulo pi^k0
-    of every unit to the index of its class.  The p-th powers of units
-    modulo pi^k0 form a subgroup Q, and two units lie in one class exactly
-    when their quotient lies in Q; so each new representative r claims the
-    keys of r * q for every q in Q.  Units are visited in residue order with
-    1 seeded first, so each representative is the first unit of its class
-    in that order, and the trivial class is always represented by 1.
+    Returns the class representatives, a dict from the key modulo pi^k0 of
+    every unit to the index of its class, the moduli of that key, and k0.
+    The p-th powers of units modulo pi^k0 form a subgroup Q, and two units
+    lie in one class exactly when their quotient lies in Q; so each new
+    representative r claims the keys of r * q for every q in Q.  Units are
+    visited in residue order with 1 seeded first, so each representative is
+    the first unit of its class in that order, and the trivial class is
+    always represented by 1.  Elements of every valuation are read through
+    their unit parts (_unit_class_index).
     """
-    p = field.p
-    moduli = _moduli(field, threshold_k0(field))
-    units = _threshold_units(field)
-    powers = list({_key(cp, moduli): cp for cp in (c**p for c in units)}.values())
+    p, k0 = field.p, threshold_k0(field)
+    moduli = _moduli(field, k0)
+    units = [c for c in residues(field, k0) if c.is_unit()]
+    powers = list({_key(cp.coords, moduli): cp for cp in (c**p for c in units)}.values())
     reps: list[OKElem] = []
     index: dict[tuple[int, ...], int] = {}
     for c in [field.one()] + units:
-        if _key(c, moduli) not in index:
+        if _key(c.coords, moduli) not in index:
             for q in powers:
-                index[_key(c * q, moduli)] = len(reps)
+                index[_key((c * q).coords, moduli)] = len(reps)
             reps.append(c)
-    return tuple(reps), index
-
-
-@lru_cache(maxsize=64)
-def _lookup(
-    field: LocalField, v: int
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Moduli of residues modulo pi^(v + k0), and a dict from the key of
-    pi^v * c to the class index of c, for every threshold unit c.
-
-    Multiplication by pi^v maps the units modulo pi^k0 one-to-one onto the
-    elements of ord v modulo pi^(v + k0), so every x of ord v has its key
-    in the dict, and the index found is the class of the unit x / pi^v.
-    """
-    k0 = threshold_k0(field)
-    low, high = _moduli(field, k0), _moduli(field, v + k0)
-    _, index = _unit_class_reps(field)
-    shift = field.uniformizer() ** v
-    return high, {
-        _key(shift * c, high): index[_key(c, low)] for c in _threshold_units(field)
-    }
+    return tuple(reps), index, moduli, k0
 
 
 def _unit_class_index(x: OKElem, v: int, field: LocalField) -> int:
     """Class index of the unit x / pi^v, for x of ord v."""
-    moduli, table = _lookup(field, v)
-    return table[_key(x, moduli)]
+    _, index, moduli, k0 = _unit_class_reps(field)
+    return index[_key(field._unit_part(x.coords, v, k0), moduli)]
 
 
 def is_pth_power(x: OKElem, field: LocalField) -> bool:
@@ -133,7 +112,7 @@ def is_pth_power(x: OKElem, field: LocalField) -> bool:
     Zero counts as a power.  For x = pi^v * u the test requires p | v and a
     unit c with c^p congruent to u at the threshold precision, that is
     ord(x - pi^v * c^p) >= v + k0.  Those u are the trivial unit class, so
-    the test is one lookup of the key of x modulo pi^(v + k0).
+    the test is one lookup of the key of the unit part x / pi^v modulo pi^k0.
     """
     if x.field != field:
         raise ValueError("element belongs to a different field")
@@ -183,7 +162,7 @@ def enumerate_classes(field: LocalField) -> tuple[PowerClassId, ...]:
     broken classification and raises ArtinCountViolation.
     """
     p = field.p
-    unit_reps, _ = _unit_class_reps(field)
+    unit_reps = _unit_class_reps(field)[0]
     pi = field.uniformizer()
     out: list[PowerClassId] = []
     for j in range(p):

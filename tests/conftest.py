@@ -62,6 +62,14 @@ def E3():
     return make_field(3, EISENSTEIN, (3, 0, 1))
 
 
+@pytest.fixture(scope="session")
+def E2_w3():
+    # totally ramified: x^2 + 2x + 6 over Q_2, whose constant term is 2 * 3
+    # and whose middle coefficient is nonzero, so dividing by the generator
+    # needs 3^-1 and the middle coefficient
+    return make_field(2, EISENSTEIN, (6, 2, 1))
+
+
 @pytest.fixture
 def analysis_calls(monkeypatch):
     """Counts, by name, the decompositions, resultants and ring-root

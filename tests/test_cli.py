@@ -258,6 +258,13 @@ def test_bounds_payload(capsys):
     }
 
 
+def test_bounds_of_a_height_past_the_float_range(capsys):
+    # x^3 + (3 * 2^1100 + 3) x + 3 (1 + 3 * 2^1100) over Q_3 exits 0
+    coeffs = ",".join(map(str, (3 * (1 + 3 * 2**1100), 3 * 2**1100 + 3, 0, 1)))
+    payload = payload_of(capsys, "bounds", "--p", "3", "--coeffs", coeffs, "--json")
+    assert payload["bounds"]["pejkovic_log_p"] == 1.5
+
+
 # --- determinism and round-trips
 
 

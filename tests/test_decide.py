@@ -311,6 +311,19 @@ def test_witness_bounds_requires_rootless(Q2):
         witness_bounds(P(Q2, -17, 0, 1), Q2)
 
 
+# x^3 + (3 * 2^1100 + 3) x + 3 (1 + 3 * 2^1100): Eisenstein over Q_3, so
+# rootless, of height past the float range
+WIDE_CUBIC = (3 * (1 + 3 * 2**1100), 3 * 2**1100 + 3, 0, 1)
+
+
+def test_witness_bounds_past_float_range(Q3):
+    # the height term h^(1 - d) underflows to its limit 0 instead of raising
+    bounds = witness_bounds(P(Q3, *WIDE_CUBIC), Q3)
+    assert bounds.kras_upper == Fraction(3, 2)
+    assert bounds.max_ord_bound == Fraction(9, 2)
+    assert bounds.pejkovic_log_p == 1.5
+
+
 def test_scan_bounds_hold_on_fixtures(Q2, Q3):
     for field, coeffs in ((Q2, (1, 8)), (Q2, (36, 0, 16, 0, 16)), (Q3, (3,))):
         report = decide_CZ(IntPoly(field, coeffs), field)

@@ -178,11 +178,12 @@ def test_reduce_mod_is_canonical_base(Q2, a, k):
 
 @given(a=coord_pairs, k=st.integers(min_value=1, max_value=5))
 @settings(max_examples=150)
-def test_reduce_mod_is_canonical_eisenstein(E2, a, k):
-    x = E2.element(a)
-    r = reduce_mod(x, E2, k)
-    assert congruent(x, r, k)
-    assert r in residues(E2, k)
+def test_reduce_mod_is_canonical_eisenstein(E2, E2_w3, a, k):
+    for field in (E2, E2_w3):
+        x = field.element(a)
+        r = reduce_mod(x, field, k)
+        assert congruent(x, r, k)
+        assert r in residues(field, k)
 
 
 def test_element_reduction_by_defining_poly(E2, U2):

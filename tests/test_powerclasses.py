@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from conftest import scaled_units
+from conftest import SUITE_SEED, scaled_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicpowers import powerclasses
 from padicpowers import (
     ZeroArgument,
     class_of,
@@ -16,6 +18,7 @@ from padicpowers import (
     is_pth_power,
     iter_residues,
     oracle_is_pth_power,
+    residues,
     same_class,
     threshold_k0,
 )
@@ -80,7 +83,7 @@ def test_power_iff_trivial_class(Q2, a):
     assert is_pth_power(x, Q2) == same_class(x, Q2.one(), Q2)
 
 
-def test_enumerate_classes_counts(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+def test_enumerate_classes_counts(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
     assert len(enumerate_classes(Q2)) == 8
     assert len(enumerate_classes(E2)) == 16
     assert len(enumerate_classes(Q3)) == 9
@@ -88,6 +91,7 @@ def test_enumerate_classes_counts(Q2, Q3, Q5, E2, U2, E2_cube, E3):
     assert len(enumerate_classes(U2)) == 16
     assert len(enumerate_classes(E2_cube)) == 32
     assert len(enumerate_classes(E3)) == 81
+    assert len(enumerate_classes(E2_w3)) == 16
 
 
 def test_class_order_is_first_match(Q2, Q3, Q5, E2, U2, E2_cube, E3):
@@ -123,8 +127,8 @@ def test_classes_are_pairwise_inequivalent(Q3):
         assert not same_class(a.rep, b.rep, Q3)
 
 
-def test_class_of_roundtrip(Q2, E2, U2, E2_cube, E3):
-    for field in (Q2, E2, U2, E2_cube, E3):
+def test_class_of_roundtrip(Q2, E2, U2, E2_cube, E3, E2_w3):
+    for field in (Q2, E2, U2, E2_cube, E3, E2_w3):
         k0 = threshold_k0(field)
         for x in list(iter_residues(field, k0)) + scaled_units(field):
             if not x:
@@ -141,3 +145,38 @@ def test_class_of_respects_uniformizer_shift(Q3):
     shifted = class_of(Q3.element(15), Q3)
     assert shifted.j == (class_of(x, Q3).j + 1) % Q3.p
     assert shifted.unit_index == class_of(x, Q3).unit_index
+
+
+def test_is_pth_power_at_high_valuations(E2_cube, E2_w3):
+    # the unit part x / pi^v of an Eisenstein element takes v divisions by
+    # the generator, each with w^-1 and the middle coefficients of the
+    # defining polynomial
+    rng = random.Random(SUITE_SEED)
+    for field in (E2_cube, E2_w3):
+        k0, pi = threshold_k0(field), field.uniformizer()
+        for v in list(range(0, 41, 3)) + list(range(190, 201, 2)):
+            for _ in range(2):
+                u = field.element([rng.randint(-(2**64), 2**64) for _ in range(field.degree)])
+                if not u.is_unit():
+                    u = u + 1
+                for x in (pi**v * u, pi**v * u**field.p):
+                    assert is_pth_power(x, field) == oracle_is_pth_power(x, field, k0)
+
+
+def test_new_valuations_enumerate_no_residues(E2_cube, monkeypatch):
+    # one table per field: classifying at a valuation not seen before reads
+    # the unit part and builds nothing; valuations past any small cache
+    enumerate_classes(E2_cube)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residues(*args)
+
+    monkeypatch.setattr(powerclasses, "residues", counted)
+    pi, u = E2_cube.uniformizer(), E2_cube.element((3, 5, 7))
+    for v in range(300, 320):
+        x = pi**v * u
+        is_pth_power(x, E2_cube)
+        class_of(x, E2_cube)
+    assert calls == []

@@ -21,6 +21,10 @@ Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
   ord Res(F, F') is past every working precision tried, and F whose
   leading coefficient or content is divisible by the first one,
   p^N >= 2^64
+- over those six fields and Q_2(t), t^2 + 2t + 6 = 0, is_pth_power, the
+  class_of label and reduce_mod at depths 1, k0 and v + k0 of seeded
+  pi^v * u, for v = 0 .. 2p + e and one v >= 100, where u is a unit with
+  wide coordinates or the p-th power of one
 
 and prints the sha256 of their canonical serialization.  Two checkouts that
 print the same digest for a seed give the same outputs on all of it, so a
@@ -54,6 +58,9 @@ FIELDS = {
 # the fields whose make_ck_not_power(K, m) is perturbed above its radius,
 # and that get wide polynomials
 PERTURBED = {"Q3": 2, "E2": 5}
+# the fields of the power-class records: FIELDS and an Eisenstein field
+# whose defining polynomial has g_0 / p = 3 and a nonzero middle coefficient
+POWER_FIELDS = {**FIELDS, "E2w3": (2, pp.EISENSTEIN, (6, 2, 1))}
 
 
 def canon(x):
@@ -187,13 +194,38 @@ def field_items(name: str, rng: random.Random):
             yield outcome(pp.krasner_upper_bound, F, K)
 
 
+def power_items(name: str, rng: random.Random):
+    p, kind, poly = POWER_FIELDS[name]
+    K = pp.make_field(p, kind, poly)
+    pi, k0 = K.uniformizer(), pp.threshold_k0(K)
+
+    def unit():
+        while True:
+            u = K.element([rng.randint(-(2**64), 2**64) for _ in range(K.degree)])
+            if u.is_unit():
+                return u
+
+    for v in list(range(2 * p + K.e + 1)) + [rng.randint(100, 120)]:
+        for x in (pi**v * unit(), pi**v * unit() ** p):
+            yield outcome(pp.is_pth_power, x, K)
+            yield outcome(lambda: pp.class_of(x, K).label())
+            for depth in (1, k0, v + k0):
+                yield outcome(pp.reduce_mod, x, K, depth)
+
+
+def items(seed: int):
+    """Every record of the digest, in order."""
+    for name in FIELDS:
+        yield from field_items(name, random.Random(f"digest:{seed}:{name}"))
+    for name in POWER_FIELDS:
+        yield from power_items(name, random.Random(f"digest:{seed}:powers:{name}"))
+
+
 def digest(seed: int) -> str:
     h = hashlib.sha256()
-    for name in FIELDS:
-        rng = random.Random(f"digest:{seed}:{name}")
-        for item in field_items(name, rng):
-            h.update(json.dumps(item).encode())
-            h.update(b"\n")
+    for item in items(seed):
+        h.update(json.dumps(item).encode())
+        h.update(b"\n")
     return h.hexdigest()
 
 
