@@ -210,6 +210,8 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
                 )
             cs.pop()
 
+    # (x)_j is expanded only up to the last nonzero c_j
+    cs = cs[: max((j + 1 for j, c in enumerate(cs) if c), default=0)]
     coeffs = [0] * modulus
     fall_poly = [1]
     for j, c in enumerate(cs):

@@ -129,11 +129,12 @@ def krasner_upper_bound(F: IntPoly, field: LocalField) -> Fraction:
 
 def _krasner(F: IntPoly, res_ord: int) -> Fraction:
     """krasner_upper_bound of a square-free F of degree >= 2, given
-    res_ord = ord Res(F, F')."""
+    res_ord = ord Res(F, F').  The content test reads each coefficient's
+    ord only up to lc_ord."""
     d = F.degree
     lc_ord = F.lc.ord()
     disc_ord = res_ord - lc_ord
-    if lc_ord <= min(c.ord() for c in F.coeffs):
+    if all(F.field._ord_vec(c.coords, lc_ord) >= lc_ord for c in F.coeffs):
         return Fraction(disc_ord - (2 * d - 2) * lc_ord, 2)
     return Fraction(disc_ord + (d - 1) * (d - 2) * lc_ord, 2) - lc_ord
 

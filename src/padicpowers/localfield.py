@@ -64,30 +64,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer.
+_LADDERS: dict[int, list[int]] = {}  # p -> [p, p^2, p^4, ...], grown on demand
 
-    The first 8 factors come off one at a time.  Past that, n is divided by
-    p, p^2, p^4, ... while they divide, and the rest of v is taken greedily
-    with the halving powers, so a large v costs O(log v) divisions.
+
+def _vp(n: int, p: int, cap: Union[int, float] = math.inf) -> Union[int, float]:
+    """min(v_p(n), cap) for a nonzero integer n.
+
+    A caller that only compares v_p(n) with some c passes a cap that
+    settles the comparison, so a wide n of high valuation costs one
+    division, not a ladder of them.  For p = 2, v is the index of the
+    lowest set bit and nothing is divided.  Otherwise the first 8 factors
+    come off one at a time; past that, one test of p^(cap - v) settles a
+    finite cap, and below it n is divided by p, p^2, p^4, ... while they
+    divide, the rest of v taken greedily with the halving powers, so a
+    large v costs O(log v) divisions.
     """
+    if p == 2:
+        return min((n & -n).bit_length() - 1, cap)
     v = 0
-    while n % p == 0:
-        if v == 8:
-            break
+    while v < 8:
+        if v >= cap or n % p:
+            return min(v, cap)
         n //= p
         v += 1
-    else:
-        return v
-    ladder = [p]  # ladder[i] = p^(2^i)
-    while n % ladder[-1] == 0:
-        n //= ladder[-1]
-        v += 1 << (len(ladder) - 1)
-        ladder.append(ladder[-1] * ladder[-1])
-    for i in range(len(ladder) - 2, -1, -1):
-        if n % ladder[i] == 0:
-            n //= ladder[i]
-            v += 1 << i
+    if v >= cap or (cap - v < n.bit_length() and n % p ** (cap - v) == 0):
+        return cap
+    ladder = _LADDERS.setdefault(p, [p])  # ladder[i] = p^(2^i)
+    i = 0
+    while True:
+        if i == len(ladder):
+            ladder.append(ladder[-1] * ladder[-1])
+        if n % ladder[i]:
+            break
+        n //= ladder[i]
+        v += 1 << i
+        i += 1
+    for j in range(i - 1, -1, -1):
+        if n % ladder[j] == 0:
+            n //= ladder[j]
+            v += 1 << j
     return v
 
 
@@ -288,6 +303,10 @@ class LocalField:
         n = self.degree
         if n == 1:
             return (a[0] * b[0],)
+        if n == 2:  # t^2 = -g_1 t - g_0
+            g0, g1 = self.defining[0], self.defining[1]
+            h = a[1] * b[1]
+            return (a[0] * b[0] - g0 * h, a[0] * b[1] + a[1] * b[0] - g1 * h)
         conv = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -325,15 +344,31 @@ class LocalField:
     def ord(self, x: "OKElem") -> Union[int, float]:
         return self._ord_vec(x.coords)
 
-    def _ord_vec(self, coords: Sequence[int]) -> Union[int, float]:
+    def _ord_vec(
+        self, coords: Sequence[int], cap: Union[int, float] = math.inf
+    ) -> Union[int, float]:
+        """min(ord, cap) of a coordinate vector; the zero vector gives cap.
+
+        A caller that only compares the ord with some c passes a cap that
+        settles the comparison.  Each coordinate is read only as deep as
+        the running minimum: in the Eisenstein model, where coordinate i
+        contributes e v_p(c_i) + i, its cap is ceil((low - i) / e)."""
+        p = self.p
         if self.kind == BASE:
             c = coords[0]
-            return math.inf if c == 0 else _vp(c, self.p)
+            return cap if c == 0 else _vp(c, p, cap)
+        low = cap
         if self.kind == UNRAMIFIED:
-            vals = [_vp(c, self.p) for c in coords if c]
-            return min(vals) if vals else math.inf
-        vals = [self.e * _vp(c, self.p) + i for i, c in enumerate(coords) if c]
-        return min(vals) if vals else math.inf
+            for c in coords:
+                if c:
+                    low = _vp(c, p, low)
+            return low
+        e = self.e
+        for i, c in enumerate(coords):
+            if c and i < low:
+                v = _vp(c, p, low if low == math.inf else -((i - low) // e))
+                low = min(low, e * v + i)
+        return low
 
 
 class OKElem:

@@ -16,6 +16,7 @@ roots that perfect-power detection tries are the roots of X^p - x.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -85,7 +86,14 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
 
 def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     """The search of roots_in_valuation_ring for a square-free G of degree
-    at least 1."""
+    at least 1.
+
+    Ords are read only as deep as their comparisons need: with low =
+    min_{k>=1} ord c_k, found from the top down with the running minimum as
+    each cap, c_0 is read up to max(low, 2(low - L) + 1), which settles
+    both k* = 0 (ord c_0 < low) and Hensel's test.  A reported root's
+    precision takes the exact ord c_0."""
+    ord_vec = field._ord_vec
     roots: list[RootApproximation] = []
     pi = field.uniformizer()
     shift = field.one()
@@ -94,11 +102,20 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     while nodes:
         children = []
         for point, coeffs in nodes:
-            ords = [field._ord_vec(c) for c in coeffs]
-            k_star = len(ords) - 1 - ords[::-1].index(min(ords))
-            if k_star == 1 and ords[0] > 2 * (ords[1] - level):
-                roots.append(RootApproximation(point(), ords[0] - ords[1] + level, True))
-            elif k_star:  # a class with k* = 0 holds no root
+            low, k_star = math.inf, 0
+            for k in range(len(coeffs) - 1, 0, -1):
+                o = ord_vec(coeffs[k], low)
+                if o < low:
+                    low, k_star = o, k
+            if not k_star:
+                continue  # only c_0 is kept: a settled class, which holds no root
+            hensel = 2 * (low - level)
+            c0 = ord_vec(coeffs[0], max(low, hensel + 1))
+            if c0 < low:
+                continue  # k* = 0: the class holds no root
+            if k_star == 1 and c0 > hensel:
+                roots.append(RootApproximation(point(), ord_vec(coeffs[0]) - low + level, True))
+            else:
                 children += _children(point(), coeffs, shift, 1, field)
         nodes = children
         shift = shift * pi
@@ -129,7 +146,7 @@ def _descend(G: IntPoly, root: RootApproximation):
         point, coeffs = next(
             (b, c)
             for b, c in _children(a, coeffs, shift, 1, field)
-            if len(c) > 1 and field._ord_vec(c[0]) >= min(map(field._ord_vec, c[1:]))
+            if len(c) > 1 and field._ord_vec(c[0], low := _least_ord(field, c[1:])) >= low
         )
         a = point()
         shift = shift * pi
@@ -149,10 +166,14 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
     min_{j>=k} ord c_j >= 1 + min_{j>=1} ord c_j =: b for k >= 1.  The first
     pass, Horner's, gives c'_0 = G(r); a child with b >= ord c'_0 + margin
     keeps c'_0 alone, which settles it as its full expansion would: margin
-    1 prunes a root-search class (k* = 0), margin M pins a scan class."""
+    1 prunes a root-search class (k* = 0), margin M pins a scan class.
+
+    Both ords are read only as deep as that test needs: b through the
+    running minimum of the parent's ords, each c'_0 up to the cap b -
+    margin + 1, below which it settles its child."""
     mul = field._mul_vec
     d = len(coeffs) - 1
-    bound = 1 + min(map(field._ord_vec, coeffs[1:]))
+    cap = 2 + _least_ord(field, coeffs[1:]) - margin
     pi = field.uniformizer().coords
     scales = [field.one().coords]
     for _ in range(d):
@@ -164,13 +185,22 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
             if r:
                 for j in range(d - 1, i - 1, -1):
                     c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
-            if not i and bound >= field._ord_vec(c[0]) + margin:
+            if not i and field._ord_vec(c[0], cap) < cap:
                 c = c[:1]
                 break
         else:
             c = [mul(x, s) for x, s in zip(c, scales)]
         out.append((partial(_child_point, a, shift, r), c))
     return out
+
+
+def _least_ord(field: LocalField, vecs: list) -> Union[int, float]:
+    """min ord of the coordinate vectors vecs, each read, from the last to
+    the first, only as deep as the least ord after it."""
+    low = math.inf
+    for c in reversed(vecs):
+        low = field._ord_vec(c, low)
+    return low
 
 
 def _child_point(a: OKElem, shift: OKElem, r: OKElem) -> OKElem:

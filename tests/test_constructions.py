@@ -16,6 +16,7 @@ from padicpowers import (
     PreconditionRootInField,
     UnsupportedField,
     approximate_on_integers,
+    class_spectrum,
     decide_CK,
     decide_CZ,
     is_perfect_pth_power_poly,
@@ -71,6 +72,23 @@ def test_stability_radius_fixture(Q2):
     assert M == 60
     G = F + P(Q2, 0, 2 ** (M + 1))
     assert decide_CK(G, Q2).verdict
+
+
+def test_wide_perturbation_above_the_radius(Q5):
+    # 7 * 5^37008 on every coefficient, just past the radius: coefficients
+    # of 86k bits whose zero ones become of ord 37,008, which the root
+    # search and the Krasner content test only compare
+    F = make_ck_not_power(Q5, 2)
+    assert stability_radius(F, Q5) == 37007
+    G = F + IntPoly(Q5, [7 * 5**37008] * (F.degree + 1))
+    member, report = decide_CK(F, Q5), decide_CK(G, Q5)
+    assert report.verdict
+    assert (report.final_m, report.m_history, report.bounds) == (
+        member.final_m,
+        member.m_history,
+        member.bounds,
+    )
+    assert class_spectrum(G, Q5) == class_spectrum(F, Q5)
 
 
 def test_stability_radius_random_perturbations(Q2):

@@ -86,10 +86,14 @@ def test_ord_fixtures(Q2, Q3, E2, U2):
     v=st.integers(min_value=0, max_value=2000),
     u=st.integers(min_value=1, max_value=2**200),
     sign=st.sampled_from((1, -1)),
+    cap_kind=st.sampled_from((None, "below", "equal", "above")),
+    gap=st.integers(min_value=1, max_value=2000),
 )
 @settings(max_examples=300, deadline=None)
-@example(p=3, v=978, u=2**199 + 1, sign=1)  # the valuation of the 1,552-bit Q_3 case
-def test_vp_matches_naive_loop(p, v, u, sign):
+@example(p=3, v=978, u=2**199 + 1, sign=1, cap_kind=None, gap=1)  # the 1,552-bit Q_3 case
+@example(p=5, v=978, u=2**199 + 1, sign=-1, cap_kind="below", gap=900)  # one test past 8
+@example(p=5, v=978, u=2**199 + 1, sign=-1, cap_kind="below", gap=1)
+def test_vp_matches_naive_loop(p, v, u, sign, cap_kind, gap):
     # u may itself be divisible by p, so the expected valuation is counted
     # by the one-factor-at-a-time loop, not assumed to be v
     n = m = sign * p**v * u
@@ -97,7 +101,56 @@ def test_vp_matches_naive_loop(p, v, u, sign):
     while m % p == 0:
         m //= p
         expected += 1
-    assert _vp(n, p) == expected
+    if cap_kind is None:
+        assert _vp(n, p) == expected
+        return
+    cap = {"below": max(expected - gap, 0), "equal": expected, "above": expected + gap}[cap_kind]
+    assert _vp(n, p, cap) == min(expected, cap)
+
+
+wide_ords = st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=200, max_value=2000))
+wide_coords = st.lists(
+    st.one_of(st.just(None), st.tuples(wide_ords, st.integers(min_value=-(2**64), max_value=2**64))),
+    min_size=3,
+    max_size=3,
+)
+
+
+@given(coords=wide_coords, cap=st.one_of(st.integers(min_value=0, max_value=6500), st.just(math.inf)))
+@settings(max_examples=150, deadline=None)
+def test_capped_ord_vec_is_min_of_ord_and_cap(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3, coords, cap):
+    # coordinate p^v u (u possibly divisible by p) or 0; the zero vector too
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+        vec = [0 if c is None else field.p ** c[0] * c[1] for c in coords[: field.degree]]
+        assert field._ord_vec(vec, cap) == min(field._ord_vec(vec), cap)
+        assert field._ord_vec([0] * field.degree, cap) == cap
+
+
+def _reference_product(field, a, b):
+    """Schoolbook convolution, then t^k = -(g_0 t^(k-n) + ... + g_(n-1) t^(k-1))
+    from the top power down, g the monic defining polynomial."""
+    n, g = field.degree, field.defining
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        top = conv.pop()
+        for j in range(n):
+            conv[k - n + j] -= top * g[j]
+    return tuple(conv)
+
+
+wide_ints = st.integers(min_value=-(2**2000), max_value=2**2000)
+
+
+@given(a=st.tuples(wide_ints, wide_ints), b=st.tuples(wide_ints, wide_ints))
+@settings(max_examples=100, deadline=None)
+@example(a=(-1, -(2**1999)), b=(2**1999 + 1, -3))
+def test_quadratic_product_matches_reduced_convolution(E2, U2, E3, E2_w3, a, b):
+    assert E2_w3.defining[1] != 0
+    for field in (E2, U2, E3, E2_w3):
+        assert field._mul_vec(a, b) == _reference_product(field, a, b)
 
 
 @given(a=small_ints, b=small_ints)
