@@ -2,16 +2,20 @@
 
 decide_CZ settles whether every value of F on the valuation ring is a p-th
 power; decide_CK settles the same question over the whole field by combining
-the direct scan with the scan of the reciprocal polynomial.  class_spectrum
-generalizes the scan to report every power class the polynomial attains.
+the direct scan with the scan of the reciprocal polynomial, which covers the
+points outside the ring: on pi O_K only when p divides the degree, as the
+direct scan has then covered the units.  One scan of each kind thus covers
+the projective line once.  class_spectrum generalizes the scans to report
+every power class the polynomial attains.
 All three run a certified finite scan over Taylor nodes: a residue class
 a + pi^L O_K carries the coefficients of F(a + pi^L y), and it is pinned
 once every higher coefficient has ord at least the constant term's ord plus
 the congruence threshold M, since F then keeps one ord and one power class
 on the whole class.  The scan splits exactly the classes that are not yet
-pinned, one level at a time.  witness_count is the size p^(f(final_m + M))
-of the residue system that certifies the verdict, an invariant of F, not
-the number of nodes visited.
+pinned, one level at a time.  witness_count is the size p^(f(m + M)) of
+the residue system that certifies a scan whose largest ord is m, summed
+over the scans of a decision, an invariant of F, not the number of nodes
+visited.
 
 Quantitative bounds (the Krasner-constant upper bound, the witness-set
 cardinality exponent and the height-based exponent for integer inputs) are
@@ -45,7 +49,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import RootApproximation, _analyse, _Analysis, _children, _descend
+from .roots import RootApproximation, _analyse, _Analysis, _children, _descend, _start
 
 __all__ = [
     "BoundsReport",
@@ -90,6 +94,11 @@ class DecisionReport:
     the witness point belongs to the reciprocal: the class is that of
     reciprocal(F_*) at the point, which certifies non-membership of F just
     as directly.
+
+    witness_count is p^(f(m + M)) for the direct scan's largest ord m, plus
+    for decide_CK p^(f(m' + M)) for the reciprocal scan's largest ord m'
+    on pi O_K (on O_K when p does not divide deg F_*).  final_m is the
+    larger of m and m'.
     """
 
     verdict: bool
@@ -222,8 +231,11 @@ def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
         )
 
 
-def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
-    """Core scan.  Returns (final_m, m_history, counterexample, classes).
+def _scan(
+    F: IntPoly, field: LocalField, M: int, budget: int, collect: bool, pi_ok: bool = False
+):
+    """Core scan of O_K, or with pi_ok of pi O_K only.  Returns (final_m,
+    m_history, counterexample, classes).
 
     A node is a residue class a + pi^L O_K together with the coordinate
     tuples of the coefficients c_k of G(y) = F(a + pi^L y).  When
@@ -231,9 +243,10 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     whole class, so every value there has the ord and the power class of
     c_0 = F(a) and the node is pinned.  Otherwise the node splits into its
     p^f children a + pi^L r at level L + 1, built by roots._children, the
-    child routine of the ring-root search.  The scan starts from (0, 0, F)
-    and runs one level at a time, children in residue order, so the
-    visiting order, and with it the whole report, is deterministic.
+    child routine of the ring-root search.  The scan starts from (0, 0, F),
+    or with pi_ok from (0, 1, F(pi y)) (roots._start), and runs one level
+    at a time, children in residue order, so the visiting order, and with
+    it the whole report, is deterministic.
     c_0 is tested only at nodes whose point is new: the child r = 0
     repeats its parent's point.
     """
@@ -242,10 +255,10 @@ def _scan(F: IntPoly, field: LocalField, M: int, budget: int, collect: bool):
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
     pi = field.uniformizer()
-    shift = field.one()
+    coeffs, shift = _start(F, pi_ok)
     # (point builder, coefficient coordinates, ord c_0 when the point was tested)
     nodes: list[tuple[Callable[[], OKElem], list[tuple[int, ...]], Optional[int]]] = [
-        (field.zero, [c.coords for c in F.coeffs], None)
+        (field.zero, coeffs, None)
     ]
     while nodes:
         children = []
@@ -338,11 +351,15 @@ def _constant_report(
 
 
 def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
-    """Scan of F's power-free part F_*, of degree >= 1 without ring roots,
-    and for C_K, once F_* passes, of its reciprocal.  A direct scan that
-    fails where F = 0, at a root of a stripped H^p, is probed on F from
-    there.  The bounds come after the scans, so that a scan out of budget
-    computes no resultant."""
+    """Scan of F_*, F's power-free part, of degree d >= 1 without ring
+    roots, and for C_K, once F_* passes, of its reciprocal.  When p | d,
+    x^d is a p-th power at a unit x, so the reciprocal's class there is
+    F_*'s class at 1/x, which the direct scan has covered: the reciprocal
+    is scanned on pi O_K only.  Otherwise it is scanned on all of O_K, so
+    that a failure at a unit is still named.  A direct scan that fails
+    where F = 0, at a root of a stripped H^p, is probed on F from there.
+    The bounds come after the scans, so that a scan out of budget computes
+    no resultant."""
     power_free, field = analysis.power_free, analysis.field
     F = power_free.F
     final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
@@ -353,7 +370,7 @@ def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) ->
     witness_count = field.p ** (field.f * (final_m + M))
     if class_tested == "C_K" and counterexample is None:
         rev_m, rev_history, counterexample, _ = _scan(
-            reciprocal(F), field, M, budget, collect=False
+            reciprocal(F), field, M, budget, collect=False, pi_ok=F.degree % field.p == 0
         )
         final_m = max(final_m, rev_m)
         witness_count += field.p ** (field.f * (rev_m + M))
@@ -495,10 +512,10 @@ def class_spectrum(
     When p does not divide the reduced degree, every class is attained:
     far from the origin the value class is class(lc) twisted by arbitrary
     unit classes and uniformizer exponents coprime to p.  Otherwise the
-    collected classes of the reduced polynomial and of its reciprocal on
-    the valuation ring are exactly the classes attained on the field,
-    because x outside the ring contributes class(rev F_*(1/x)) there.  A
-    budget below 1 raises ValueError.
+    collected classes of the reduced polynomial on the valuation ring and
+    of its reciprocal on pi O_K are exactly the classes attained on the
+    field, because x outside the ring contributes class(rev F_*(1/x)) there,
+    with 1/x in pi O_K.  A budget below 1 raises ValueError.
     """
     _check_budget(budget)
     analysis = _analyse(F, field)
@@ -517,5 +534,5 @@ def class_spectrum(
     if reduced.degree % field.p != 0:
         return set(enumerate_classes(field)), attains_zero
     _, _, _, direct = _scan(reduced, field, M, budget, collect=True)
-    _, _, _, mirrored = _scan(reciprocal(reduced), field, M, budget, collect=True)
+    _, _, _, mirrored = _scan(reciprocal(reduced), field, M, budget, collect=True, pi_ok=True)
     return direct | mirrored, attains_zero

@@ -84,9 +84,10 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
     return _ring_roots(G, field)
 
 
-def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
+def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRootReport:
     """The search of roots_in_valuation_ring for a square-free G of degree
-    at least 1.
+    at least 1; with pi_ok, the roots in pi O_K only, as the search starts
+    at that node (roots._start), and search_depth_used is at least 1.
 
     Ords are read only as deep as their comparisons need: with low =
     min_{k>=1} ord c_k, found from the top down with the running minimum as
@@ -96,9 +97,9 @@ def _ring_roots(G: IntPoly, field: LocalField) -> PadicRootReport:
     ord_vec = field._ord_vec
     roots: list[RootApproximation] = []
     pi = field.uniformizer()
-    shift = field.one()
-    level = 0
-    nodes = [(field.zero, [c.coords for c in G.coeffs])]
+    coeffs, shift = _start(G, pi_ok)
+    level = int(pi_ok)
+    nodes = [(field.zero, coeffs)]
     while nodes:
         children = []
         for point, coeffs in nodes:
@@ -138,10 +139,7 @@ def _descend(G: IntPoly, root: RootApproximation):
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
-    scale = field.one().coords
-    for k in range(1, d + 1):
-        scale = mul(scale, shift.coords)
-        coeffs[k] = mul(coeffs[k], scale)
+    coeffs = _scaled(field, coeffs, shift)
     while True:
         point, coeffs = next(
             (b, c)
@@ -152,6 +150,31 @@ def _descend(G: IntPoly, root: RootApproximation):
         shift = shift * pi
         level += 1
         yield RootApproximation(a, level, False)
+
+
+def _start(G: IntPoly, pi_ok: bool) -> tuple[list, OKElem]:
+    """The first Taylor node of a walk over G, as its coefficient
+    coordinates and the shift of its children: O_K, with G's coefficients
+    and shift 1, or with pi_ok the node pi O_K, the r = 0 child of O_K,
+    with the coefficients c_k pi^k of G(pi y) and shift pi."""
+    field = G.field
+    coeffs = [c.coords for c in G.coeffs]
+    if not pi_ok:
+        return coeffs, field.one()
+    pi = field.uniformizer()
+    return _scaled(field, coeffs, pi), pi
+
+
+def _scaled(field: LocalField, coeffs: list, shift: OKElem) -> list:
+    """c_k shift^k for the coefficient coordinates c_k of G(y): the
+    coefficients of G(shift y)."""
+    mul = field._mul_vec
+    out = [coeffs[0]]
+    scale = field.one().coords
+    for c in coeffs[1:]:
+        scale = mul(scale, shift.coords)
+        out.append(mul(c, scale))
+    return out
 
 
 def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
@@ -239,9 +262,13 @@ class _SquareFree:
 
     @cached_property
     def rev(self) -> PadicRootReport:
-        """The inverses of G's roots outside the ring; asked for only when G
-        has no ring root, so that G(0) != 0."""
-        return _ring_roots(reciprocal(self.poly), self.field)
+        """The inverses of G's roots outside the ring.  Asked for only when
+        G has no ring root, so that G(0) != 0 and the reciprocal has no unit
+        root: its search covers pi O_K only.  Where G has a ring root, that
+        search would miss the unit roots, so it raises AssertionError."""
+        if self.ring.exists:
+            raise AssertionError("rev is asked for only when G has no ring root")
+        return _ring_roots(reciprocal(self.poly), self.field, pi_ok=True)
 
     @property
     def has_field_root(self) -> bool:

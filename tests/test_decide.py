@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -399,6 +400,58 @@ def test_cz_matches_oracle_on_extension_fields(U2, E2, E2_cube):
         assert members > 0, field
 
 
+def seeded_members(field, count, seed):
+    """count members F = A^p + pi^m B of C_K with p | deg F = p deg A,
+    deg A <= 2, deg B <= deg F and m from M to M + 3, drawn with small
+    coordinates and kept when decide_CK admits them."""
+    rng = random.Random(seed)
+    p, M = field.p, threshold_k0(field)
+    pi = field.uniformizer()
+
+    def coeff():
+        return field.element([rng.randint(-5, 5) for _ in range(field.degree)])
+
+    out = []
+    while len(out) < count:
+        a = rng.randint(1, 2)
+        A = IntPoly(field, [coeff() for _ in range(a + 1)])
+        if A.is_zero or A.degree != a:
+            continue
+        B = IntPoly(field, [rng.randint(-6, 6) for _ in range(p * a + 1)])
+        F = A**p + B * pi ** rng.randint(M, M + 3)
+        if F.degree == p * a and F.constant and decide_CK(F, field).verdict:
+            out.append(F)
+    return out
+
+
+def test_witness_count_reciprocal_term_matches_oracle(Q2, Q3, E2, U2):
+    # When p | deg F, the reciprocal is scanned on pi O_K only: the units
+    # carry F's classes at their inverses, which F's scan covers.  So
+    # witness_count is p^(f(m + M)) + p^(f(m' + M)), with m the largest ord
+    # of F on the ring and m' that of y -> x^d F(1/x) at x = pi y, both
+    # found by the oracle; final_m is the larger.  The oracle's maxima are
+    # exact below its depth, as F(a + pi^D y) = F(a) mod pi^D.
+    F = P(Q2, -39, -232, -14, -104, -375)
+    assert F == P(Q2, -5, 4, 3) ** 2 + P(Q2, -1, -3, 0, -2, -6) * 2**6
+    # 2^(2 + 3) + 2^(0 + 3); with the reciprocal's ord 2 at the units, 64
+    assert decide_CK(F, Q2).witness_count == 40
+    cases = [(Q2, F)]
+    cases += [(field, G) for field in (Q2, Q3, E2, U2) for G in seeded_members(field, 16, 37)]
+    moved = Counter()
+    for field, F in cases:
+        report = decide_CK(F, field)
+        depth = report.final_m + 1
+        pi, d = field.uniformizer(), F.degree
+        G = IntPoly(field, [F.coeffs[d - k] * pi**k for k in range(d + 1)])
+        m, rev_m = oracle_max_ord(F, field, depth), oracle_max_ord(G, field, depth)
+        assert max(m, rev_m) == report.final_m < depth, str(F)
+        q = field.p**field.f
+        assert report.witness_count == q ** (m + report.M) + q ** (rev_m + report.M), str(F)
+        # the reciprocal attains a larger ord at a unit, which no longer counts
+        moved[field] += oracle_max_ord(reciprocal(F), field, depth) > rev_m
+    assert all(moved[field] for field in (Q2, Q3, E2, U2)), moved
+
+
 def assert_counterexample_holds(report, G, field):
     """The reported class is the class of G at the reported point, and it is
     not the class of the p-th powers."""
@@ -486,7 +539,8 @@ def test_cz_final_m_found_below_first_level(Q2):
 def test_member_scans_test_few_points(E2_cube, U2, monkeypatch):
     # Taylor nodes pin each residue class as soon as F's expansion settles
     # it, so the two scans of each member test only a few points: a point
-    # is tested once, at the first node that has it
+    # is tested once, at the first node that has it, and the reciprocal's
+    # scan starts at pi O_K, as the direct scan has covered the units
     tested = Counter()
 
     def counted(x, field):
@@ -494,7 +548,7 @@ def test_member_scans_test_few_points(E2_cube, U2, monkeypatch):
         return is_pth_power(x, field)
 
     monkeypatch.setattr(decide_module, "is_pth_power", counted)
-    for field, m, count in ((E2_cube, 7, 10), (U2, 3, 11)):
+    for field, m, count in ((E2_cube, 7, 8), (U2, 3, 8)):
         report = decide_CK(make_ck_not_power(field, m), field)
         assert report.verdict
         assert tested[field] == count
@@ -504,11 +558,12 @@ def test_member_sweep_at_smallest_m(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch
     # make_ck_not_power at the smallest valid m, over every field the paper's
     # construction is tested on.  F = (1 + pi x^p)^p + pi^m has a unit
     # constant term and every other coefficient in pi O_K, so the root
-    # search prunes F's first node; the reciprocal (x^p + pi)^p + pi^m x^(p^2)
-    # has its p^2 roots near 0, so its first node splits once, and each
-    # child is pruned.  decide_CK then either decides or runs out of budget,
-    # never fails a precondition: over Q_7, Q_11 and Q_13 the scan reaches
-    # final_m = p, and p^(p + 2) exceeds the default budget.
+    # search prunes F's first node; the p^2 roots of the reciprocal
+    # (x^p + pi)^p + pi^m x^(p^2) have ord 1/p, so its search, which starts
+    # at pi O_K, prunes that node at once: no node splits.  decide_CK then
+    # either decides or runs out of budget, never fails a precondition:
+    # over Q_7, Q_11 and Q_13 the scan reaches final_m = p, and p^(p + 2)
+    # exceeds the default budget.
     splits = Counter()
     children = roots_module._children
 
@@ -523,11 +578,33 @@ def test_member_sweep_at_smallest_m(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch
         F = make_ck_not_power(field, m)
         splits.clear()
         assert not has_root_in_field(F, field)
-        assert splits == {field: 1}, field
+        assert not splits, field
         try:
             assert decide_CK(F, field).verdict, field
         except ScanBudgetExceeded:
             assert field.p >= 7, field
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 17, 19, 23))
+def test_high_p_member_splits_no_node(p, monkeypatch):
+    # F = (1 + p x^p)^p + p^2 pins its first node.  Its reciprocal
+    # (x^p + p)^p + p^2 x^(p^2) takes ord p at 0, and every higher
+    # coefficient of its node p Z_p has ord at least 2p, so the scan pins
+    # that node, where the root search prunes it; the units, which F's scan
+    # has covered, are not walked again.  No node splits anywhere.
+    def refused(*args):
+        raise AssertionError("a node split")
+
+    monkeypatch.setattr(roots_module, "_children", refused)
+    monkeypatch.setattr(decide_module, "_children", refused)
+    field = make_field(p, BASE)
+    F = make_ck_not_power(field, 2)
+    report = decide_CK(F, field, budget=10**40)
+    assert report.verdict
+    assert report.final_m == p
+    classes, attains_zero = class_spectrum(F, field, budget=10**40)
+    assert {cls.label() for cls in classes} == {"1"}
+    assert not attains_zero
 
 
 # --- class spectrum

@@ -92,6 +92,23 @@ def test_has_root_in_field_fixtures(Q2):
     assert not has_root_in_field(P(Q2, -3, 0, 1), Q2)
 
 
+def test_reciprocal_search_needs_the_ring_search_first(Q2, E2):
+    # rev searches pi O_K only, as ring has ruled out the unit roots: asked
+    # for where G has a ring root, it would miss them, so it refuses
+    for field, G in ((Q2, P(Q2, -1, 1)), (E2, P(E2, -17, 0, 1))):
+        ((factor, _),) = _analyse(G, field).factors
+        with pytest.raises(AssertionError):
+            factor.rev
+    # the roots 1/2 and 1/6 of 12x^2 - 8x + 1 lie outside the ring: rev
+    # reports their inverses 2 and 6, both in pi O_K
+    ((factor, _),) = _analyse(P(Q2, 1, -8, 12), Q2).factors
+    assert not factor.ring.exists
+    roots = factor.rev.roots
+    assert len(roots) == 2
+    for root in roots:
+        assert any((root.truncation - r).ord() >= root.precision >= 1 for r in (2, 6))
+
+
 def test_root_multiplicity_report(Q2):
     assert root_multiplicity_report(P(Q2, 0, 0, 1), Q2, 2) == "compliant"
     assert root_multiplicity_report(P(Q2, 0, 0, 0, 1), Q2, 2) == "violates"
