@@ -241,21 +241,12 @@ def _decision_payload(report: DecisionReport, field: LocalField) -> dict:
     return payload
 
 
-def _emit(payload: dict, started: float, as_json: bool, lines: list[str]) -> None:
-    payload["timing_ms"] = int((time.monotonic() - started) * 1000)
-    if as_json:
-        sys.stdout.write(json.dumps(payload) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the arguments and the parsed field and
+# returns the JSON payload and the text lines of its report
 
 
-def _cmd_decide(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_decide(args, field: LocalField) -> tuple[dict, list[str]]:
     F = _parse_poly(args, field)
     decider = decide_CK if args.ring == "field" else decide_CZ
     report = decider(F, field, budget=args.budget)
@@ -266,13 +257,10 @@ def _cmd_decide(args) -> int:
     if report.counterexample is not None:
         point, cls = report.counterexample
         lines.append(f"counterexample: F({point}) lies in class {cls.label()}")
-    _emit(_decision_payload(report, field), started, args.json, lines)
-    return 0
+    return _decision_payload(report, field), lines
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_spectrum(args, field: LocalField) -> tuple[dict, list[str]]:
     F = _parse_poly(args, field)
     classes, attains_zero = class_spectrum(F, field, budget=args.budget)
     labels = [cls.label() for cls in sorted(classes, key=lambda c: c.sort_key)]
@@ -285,13 +273,10 @@ def _cmd_spectrum(args) -> int:
         "spectrum: " + ", ".join(labels),
         f"attains zero: {str(attains_zero).lower()}",
     ]
-    _emit(payload, started, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_classes(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_classes(args, field: LocalField) -> tuple[dict, list[str]]:
     classes = enumerate_classes(field)
     payload = {
         "field": _field_payload(field),
@@ -303,13 +288,10 @@ def _cmd_classes(args) -> int:
     lines = [f"{'class':>12}  {'j':>2}  unit"]
     for cls in classes:
         lines.append(f"{cls.label():>12}  {cls.j:>2}  {cls.unit_rep}")
-    _emit(payload, started, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_bounds(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_bounds(args, field: LocalField) -> tuple[dict, list[str]]:
     F = _parse_poly(args, field)
     bounds = witness_bounds(F, field)
     payload = {"field": _field_payload(field), "bounds": _ser_bounds(bounds)}
@@ -319,27 +301,20 @@ def _cmd_bounds(args) -> int:
         f"cardA_log_p: {bounds.cardA_log_p}",
         f"pejkovic_log_p: {bounds.pejkovic_log_p}",
     ]
-    _emit(payload, started, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_construct(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_construct(args, field: LocalField) -> tuple[dict, list[str]]:
     if args.family == "cz-not-ck":
         F = make_cz_not_ck(field)
     else:
         if args.m is None:
             raise _UsageError("ck-not-power requires --m")
         F = make_ck_not_power(field, args.m)
-    payload = {"field": _field_payload(field), "poly": _ser_poly(F)}
-    _emit(payload, started, args.json, [str(F)])
-    return 0
+    return {"field": _field_payload(field), "poly": _ser_poly(F)}, [str(F)]
 
 
-def _cmd_approximate(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_approximate(args, field: LocalField) -> tuple[dict, list[str]]:
     F = _parse_poly(args, field)
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
@@ -350,13 +325,10 @@ def _cmd_approximate(args) -> int:
         "buffer": threshold_k0(field),
         "poly": _ser_poly(G),
     }
-    _emit(payload, started, args.json, [str(G)])
-    return 0
+    return payload, [str(G)]
 
 
-def _cmd_check_power(args) -> int:
-    started = time.monotonic()
-    field = _parse_field(args)
+def _cmd_check_power(args, field: LocalField) -> tuple[dict, list[str]]:
     try:
         x = field.element(_parse_int_list(args.value))
     except ValueError as exc:
@@ -368,9 +340,7 @@ def _cmd_check_power(args) -> int:
         "value": _ser_elem(x),
         "class": class_of(x, field).label() if x else "0",
     }
-    lines = [f"verdict: {str(verdict).lower()} (class {payload['class']})"]
-    _emit(payload, started, args.json, lines)
-    return 0
+    return payload, [f"verdict: {str(verdict).lower()} (class {payload['class']})"]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +449,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         sys.stderr.write(f"error (usage): {exc}\n")
         return 64
     as_json = getattr(args, "json", False)
+    started = time.monotonic()
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args, _parse_field(args))
     except _UsageError as exc:
         sys.stderr.write(f"error (usage): {exc}\n")
         return 64
@@ -490,6 +461,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except PadicError as exc:
         _report_error(exc, as_json)
         return 2
+    payload["timing_ms"] = int((time.monotonic() - started) * 1000)
+    if as_json:
+        sys.stdout.write(json.dumps(payload) + "\n")
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

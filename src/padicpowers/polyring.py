@@ -9,29 +9,30 @@ the fraction-field layer is private and every result that claims
 integrality is verified before it is returned.  Its elements, on which
 Yun's algorithm runs, are integer coordinates over one denominator in
 lowest terms, and their products run on the integer kernel
-LocalField._mul_vec; an inverse solves the integer system of
-multiplication by the element with Bareiss's elimination.  Yun's first
-gcd(F, F') keeps the leading coefficients of its remainders, which give
-ord Res(F, F') of a square-free F.  A wide F, of height at least 2^512,
-is first decomposed at working precision: Yun runs on F's coordinates
-reduced modulo p^N, and since Res(F, F') is congruent to the reduced
-copy's resultant modulo p^N, a square-free copy whose resultant has ord
-below e N certifies that F is square-free with the same ord.
+LocalField._mul_vec; an inverse is read from the integral cofactor of its
+numerator, which Bareiss's elimination gives from the integer system of
+multiplication by it.  Yun's first gcd(F, F') keeps the leading
+coefficients of its remainders, which give ord Res(F, F') of a square-free
+F.  A wide F, of height at least 2^512, is first tested at working
+precision: Res(F, F') is congruent modulo p^N to the resultant of F's copy
+with coordinates reduced modulo p^N, so a nonzero copy resultant with ord
+below e N certifies that F is square-free with the same ord, and Yun runs
+on no copy.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
 LocalField._mul_vec over extensions.  Resultants run one subresultant
-remainder sequence over the coefficient ring: Z for the base field, Z[t]/(g)
-on coordinate tuples for an extension, where each divisor b is inverted
-once, as an integral cofactor d/b with d a rational integer, and every
-division by it is an exact integer division of the coordinates.
+remainder sequence on coordinate tuples over Z[t]/(g), with the base field
+as the one-coordinate case Z.  A divisor b that is not a rational integer
+is inverted once, as the same integral cofactor: adj b with b adj b = d, d
+a rational integer, so every division by b is an exact integer division of
+the coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Union
@@ -245,7 +246,7 @@ def reciprocal(F: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# private fraction-field layer
+# integral cofactors, and the private fraction-field layer
 
 
 def _solve(rows: list[list[int]]) -> tuple[int, list[int]]:
@@ -267,6 +268,23 @@ def _solve(rows: list[list[int]]) -> tuple[int, list[int]]:
         row = rows[k]
         x[k] = (prev * row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
     return prev, x
+
+
+def _cofactor(b: tuple[int, ...], field: LocalField) -> tuple[tuple[int, ...], int]:
+    """The integral cofactor (adj, d) of a nonzero b: b adj = d with d a
+    positive rational integer and gcd(d, *adj) = 1, so that adj / d = 1 / b.
+
+    b y = 1 is M y = e_0, M the matrix of multiplication by b, whose column
+    j holds the coordinates of b t^j; Bareiss gives D and D y, which are
+    reduced to lowest terms."""
+    n = field.degree
+    t = (0, 1) + (0,) * (n - 2)
+    cols = [b]
+    for _ in range(n - 1):
+        cols.append(field._mul_vec(cols[-1], t))
+    d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
+    g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
+    return tuple(x // g for x in y), d // g
 
 
 class _KElem:
@@ -332,21 +350,13 @@ class _KElem:
     def inverse(self) -> "_KElem":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        n = self.field.degree
-        if n == 1:
+        if self.field.degree == 1:
             a = self.num[0]
             return _KElem(self.field, (-self.den,) if a < 0 else (self.den,), abs(a))
-        # num y = 1 is M y = e_0, M the matrix of multiplication by num,
-        # whose column j holds the coordinates of num t^j
-        t = (0, 1) + (0,) * (n - 2)
-        cols = [self.num]
-        for _ in range(n - 1):
-            cols.append(self.field._mul_vec(cols[-1], t))
-        d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
-        # 1/self = den y / d, in lowest terms with a positive denominator
-        num = [x * self.den for x in y]
-        g = math.gcd(d, *num) if d > 0 else -math.gcd(d, *num)
-        return _KElem(self.field, tuple(x // g for x in num), d // g)
+        # 1 / (num / den) = den adj / d, in lowest terms as gcd(d, *adj) = 1
+        adj, d = _cofactor(self.num, self.field)
+        g = math.gcd(d, self.den)
+        return _KElem(self.field, tuple(x * (self.den // g) for x in adj), d // g)
 
     def to_ok(self) -> OKElem:
         if self.den != 1:
@@ -498,10 +508,10 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
 
     A polynomial of height at least 2^512 is first tried at working
     precision: when its copy modulo p^N, for some p^N of at most an eighth
-    of its bits, is square-free with ord Res below e N, the resultant
-    congruence certifies that F is square-free, and F's one factor is
-    returned; otherwise, and for every narrower polynomial, Yun runs on F
-    itself.  Either way the identity below is verified.  Raises
+    of its bits, has a nonzero resultant with its derivative, of ord below
+    e N, the resultant congruence certifies that F is square-free, and F's
+    one factor is returned; otherwise, and for every narrower polynomial,
+    Yun runs on F itself.  Either way the identity below is verified.  Raises
     ZeroPolynomial on the zero input.  Constants decompose with an empty
     factor list.
     """
@@ -578,15 +588,15 @@ def _at_working_precision(F: IntPoly, bits: int):
     bit length, certified from a copy of F modulo p^N, or None.
 
     The copy F^, every coordinate of F reduced modulo p^N with balanced
-    representatives, is decomposed exactly, for p^N the least power of p
-    past 2^64, 2^128, 2^256, ... while p^N has at most an eighth of F's
-    bits.  When F^ keeps F's degree, the Sylvester determinant gives
-    Res(F, F') = Res(F^, F^') (mod p^N); so a square-free F^ with
-    ord Res(F^, F^') < e N makes F square-free with the same ord, and F's
-    one factor G = c F / lc(F) has ord Res(G, G') = ord Res(F, F') +
+    representatives, is tested by its resultant Res(F^, F^'), for p^N the
+    least power of p past 2^64, 2^128, 2^256, ... while p^N has at most an
+    eighth of F's bits.  When F^ keeps F's degree, the Sylvester
+    determinant gives Res(F, F') = Res(F^, F^') (mod p^N); so a nonzero
+    Res(F^, F^') with ord < e N makes F square-free with the same ord, and
+    F's one factor G = c F / lc(F) has ord Res(G, G') = ord Res(F, F') +
     (2n - 1) ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F').
-    Every other case, a zero F^, a lower degree, a repeated factor or an
-    ord of e N or more, goes on to the next precision.
+    Every other case, a zero F^, a lower degree or an ord of e N or more
+    (a zero resultant included), goes on to the next precision.
     """
     field = F.field
     p, e, n = field.p, field.e, F.degree
@@ -599,13 +609,11 @@ def _at_working_precision(F: IntPoly, bits: int):
         moduli = _moduli(field, e * N)
         reduced = IntPoly(field, [_balanced(coeff.coords, moduli) for coeff in F.coeffs])
         if reduced and reduced.degree == n:
-            dec, res_ord = _exact_decompose(reduced)
-            if res_ord:
-                res = res_ord() - (2 * n - 1) * (e * _vp(dec.c, p) - reduced.lc.ord())
-                if res < e * N:
-                    result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
-                    ord_c = e * _vp(result.c, p) - F.lc.ord()
-                    return result, lambda: res + (2 * n - 1) * ord_c
+            res = field._ord_vec(resultant(reduced, reduced.derivative()).coords, e * N)
+            if res < e * N:
+                result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
+                ord_c = e * _vp(result.c, p) - F.lc.ord()
+                return result, lambda: res + (2 * n - 1) * ord_c
         word *= 2
 
 
@@ -699,21 +707,11 @@ def necessary_conditions(F: IntPoly, field: LocalField) -> NecessaryConditions:
 # resultants via the subresultant PRS
 
 
-# a remainder sequence's coefficient ring: its product, its power, its
-# difference, exact division of a list by one element, its zero and its one
-_Ring = namedtuple("_Ring", "mul pow sub quo zero one")
-
-
 def _exact_quo(n: int, d: int) -> int:
     q, r = divmod(n, d)
     if r:  # pragma: no cover - subresultant divisions are exact
         raise AssertionError("inexact division inside subresultant PRS")
     return q
-
-
-_INTS = _Ring(
-    operator.mul, operator.pow, operator.sub, lambda xs, b: [_exact_quo(x, b) for x in xs], 0, 1
-)
 
 
 def _exact_div_elem(a: tuple[int, ...], cofactor: tuple[int, ...], d: int, field: LocalField):
@@ -722,48 +720,36 @@ def _exact_div_elem(a: tuple[int, ...], cofactor: tuple[int, ...], d: int, field
     return tuple(_exact_quo(n, d) for n in field._mul_vec(a, cofactor))
 
 
-def _coord_ring(field: LocalField) -> _Ring:
-    """Z[t]/(g) on coordinate tuples.  A divisor b that is a rational
-    integer divides coordinate by coordinate; any other is inverted once
-    per call, as the integral cofactor d/b with d the lcm of the
-    denominators of 1/b."""
-
-    def quo(xs, b):
-        if not any(b[1:]):
-            return [tuple(_exact_quo(x, b[0]) for x in a) for a in xs]
-        inv = _KElem(field, b).inverse()
-        return [_exact_div_elem(a, inv.num, inv.den, field) for a in xs]
-
-    def power(x, k):
-        return reduce(field._mul_vec, [x] * k) if k else one
-
-    def sub(a, b):
-        return tuple(map(operator.sub, a, b))
-
-    one = field.one().coords
-    return _Ring(field._mul_vec, power, sub, quo, field.zero().coords, one)
+def _quo(xs: list, b: tuple[int, ...], field: LocalField) -> list:
+    """Each coordinate tuple of xs divided exactly by b: a rational integer
+    b divides coordinate by coordinate, any other through its integral
+    cofactor, taken once."""
+    if not any(b[1:]):
+        return [tuple(_exact_quo(x, b[0]) for x in a) for a in xs]
+    adj, d = _cofactor(b, field)
+    return [_exact_div_elem(a, adj, d, field) for a in xs]
 
 
-def _prem(A: list, B: list, ring: _Ring) -> list:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, low to high."""
-    mul, sub, zero = ring.mul, ring.sub, ring.zero
+def _prem(A: list, B: list, mul) -> list:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, low to high,
+    on coordinate tuples multiplied by mul."""
     dB = len(B) - 1
     c = B[-1]
     R = list(A)
     for k in range(len(A) - 1 - dB, -1, -1):
         top = R.pop()  # c * top - top * c cancels the leading term
         R = [mul(c, x) for x in R]
-        if top != zero:
+        if any(top):
             for i in range(dB):
-                R[i + k] = sub(R[i + k], mul(top, B[i]))
-    while R and R[-1] == zero:
+                R[i + k] = tuple(map(operator.sub, R[i + k], mul(top, B[i])))
+    while R and not any(R[-1]):
         R.pop()
     return R
 
 
-def _prs_resultant(A: list, B: list, ring: _Ring):
-    """Resultant of A and B, nonzero coefficient lists low to high over
-    ring, via the subresultant PRS.
+def _prs_resultant(A: list, B: list, field: LocalField) -> tuple[int, ...]:
+    """Resultant of A and B, nonzero lists of coordinate tuples low to high,
+    via the subresultant PRS over Z[t]/(g), which is Z for the base field.
 
     The textbook sequence (Cohen, Alg. 3.3.7, without contents): R =
     prem(A, B), then A, B = B, R / (g h^delta) with g = lc(A) and h =
@@ -771,7 +757,12 @@ def _prs_resultant(A: list, B: list, ring: _Ring):
     ring.  Once B is a constant the resultant is sign * lc(B)^deg A /
     h^(deg A - 1).  Every division is exact and checked.
     """
-    mul, power, quo, one = ring.mul, ring.pow, ring.quo, ring.one
+    mul = field._mul_vec
+    one = field.one().coords
+
+    def power(x, k):
+        return reduce(mul, [x] * k) if k else one
+
     sign = 1
     if len(A) < len(B):
         A, B = B, A
@@ -781,46 +772,38 @@ def _prs_resultant(A: list, B: list, ring: _Ring):
     while len(B) > 1:
         dA, dB = len(A) - 1, len(B) - 1
         d = dA - dB
-        R = _prem(A, B, ring)
+        R = _prem(A, B, mul)
         if not R:
-            return ring.zero
+            return field.zero().coords
         if dA * dB % 2:
             sign = -sign
         lam = mul(g, power(h, d))
         if lam != one:
-            R = quo(R, lam)
+            R = _quo(R, lam, field)
         A, B = B, R
         g = A[-1]
         if d == 1:
             h = g
         elif d:
-            h = quo([power(g, d)], power(h, d - 1))[0]
+            h = _quo([power(g, d)], power(h, d - 1), field)[0]
     dA = len(A) - 1
     res = power(B[0], dA)
     if dA > 1 and h != one:
-        res = quo([res], power(h, dA - 1))[0]
-    return res if sign == 1 else ring.sub(ring.zero, res)
+        res = _quo([res], power(h, dA - 1), field)[0]
+    return res if sign == 1 else tuple(-x for x in res)
 
 
 def resultant(F: IntPoly, G: IntPoly) -> OKElem:
-    """Resultant of two nonzero polynomials, by the subresultant PRS.
-
-    Base fields run it on the integer coefficients, extensions on
-    coordinate tuples in Z[t]/(g), g the defining polynomial; either way
-    every division is exact.  Conventions: Res(F, c) = c^deg(F) for
-    constant c, and the resultant of two constants is 1.
+    """Resultant of two nonzero polynomials, by the subresultant PRS on
+    coordinate tuples in Z[t]/(g), g the defining polynomial, with the base
+    field as the one-coordinate case; every division is exact.
+    Conventions: Res(F, c) = c^deg(F) for constant c, and the resultant of
+    two constants is 1.
     """
     if F.is_zero or G.is_zero:
         raise ZeroPolynomial("resultants require nonzero polynomials")
     field = F.field
     if G.field != field:
         raise ValueError("mixed-field resultant")
-    if field.degree == 1:
-        value = _prs_resultant(
-            [c.coords[0] for c in F.coeffs], [c.coords[0] for c in G.coeffs], _INTS
-        )
-        return field.element(value)
-    value = _prs_resultant(
-        [c.coords for c in F.coeffs], [c.coords for c in G.coeffs], _coord_ring(field)
-    )
+    value = _prs_resultant([c.coords for c in F.coeffs], [c.coords for c in G.coeffs], field)
     return OKElem(field, value)

@@ -129,17 +129,11 @@ def _descend(G: IntPoly, root: RootApproximation):
     square-free G that root = (a, rho) reports.  The class a + pi^rho O_K
     holds no other root, so exactly one child of each node on the way down
     holds a root: the one with ord c_0 >= min_{k>=1} ord c_k."""
-    field, mul = G.field, G.field._mul_vec
+    field = G.field
     pi = field.uniformizer()
     a, level = root.truncation, root.precision
     shift = pi**level
-    # G(a + shift y): d synthetic divisions by y - a, then c_k times shift^k
-    coeffs = [c.coords for c in G.coeffs]
-    d = len(coeffs) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
-    coeffs = _scaled(field, coeffs, shift)
+    coeffs = _node(G, a, shift)
     while True:
         point, coeffs = next(
             (b, c)
@@ -158,23 +152,27 @@ def _start(G: IntPoly, pi_ok: bool) -> tuple[list, OKElem]:
     and shift 1, or with pi_ok the node pi O_K, the r = 0 child of O_K,
     with the coefficients c_k pi^k of G(pi y) and shift pi."""
     field = G.field
-    coeffs = [c.coords for c in G.coeffs]
     if not pi_ok:
-        return coeffs, field.one()
+        return [c.coords for c in G.coeffs], field.one()
     pi = field.uniformizer()
-    return _scaled(field, coeffs, pi), pi
+    return _node(G, field.zero(), pi), pi
 
 
-def _scaled(field: LocalField, coeffs: list, shift: OKElem) -> list:
-    """c_k shift^k for the coefficient coordinates c_k of G(y): the
-    coefficients of G(shift y)."""
-    mul = field._mul_vec
-    out = [coeffs[0]]
-    scale = field.one().coords
-    for c in coeffs[1:]:
+def _node(G: IntPoly, a: OKElem, shift: OKElem) -> list:
+    """The coefficient coordinates of G(a + shift y): synthetic divisions
+    by y - a, then c_k shift^k."""
+    mul = G.field._mul_vec
+    coeffs = [c.coords for c in G.coeffs]
+    d = len(coeffs) - 1
+    if a:
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
+    scale = shift.coords
+    for k in range(1, d + 1):
+        coeffs[k] = mul(coeffs[k], scale)
         scale = mul(scale, shift.coords)
-        out.append(mul(c, scale))
-    return out
+    return coeffs
 
 
 def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
@@ -236,7 +234,8 @@ class _SquareFree:
     """A square-free factor G of degree >= 1 with ord Res(G, G') and the
     ring-root reports of G and of its reciprocal, each found on first use.
     _res_ord takes a resultant, unless the analysis of a square-free F put
-    in its place the one that reads Yun's remainder sequence."""
+    in its place the one its decomposition gives: from Yun's remainder
+    sequence, or for a wide F from the resultant of its copy modulo p^N."""
 
     def __init__(self, poly: IntPoly, field: LocalField):
         self.poly = poly
@@ -297,7 +296,7 @@ class _Analysis:
     def factors(self) -> tuple[tuple[_SquareFree, int], ...]:
         dec, res_ord = self._decomposed
         factors = tuple((_SquareFree(G, self.field), mult) for G, mult in dec.factors)
-        if res_ord:  # F is square-free: Yun's first gcd(F, F') gives ord Res
+        if res_ord:  # F is square-free: its decomposition gives ord Res
             factors[0][0]._res_ord = res_ord
         return factors
 

@@ -362,13 +362,24 @@ def test_resultant_fixtures(Q2, Q3, E2):
         resultant(IntPoly(Q2, ()), P(Q2, 1))
 
 
-@given(
-    a=st.lists(st.integers(min_value=-7, max_value=7), min_size=2, max_size=4),
-    b=st.lists(st.integers(min_value=-7, max_value=7), min_size=2, max_size=4),
+# small coefficients, and 600-bit ones, which the remainder sequence
+# multiplies far past a machine word before its exact divisions
+_res_coeff = st.one_of(
+    st.integers(min_value=-7, max_value=7), st.integers(min_value=-(2**600), max_value=2**600)
 )
+
+
+@given(
+    which=st.integers(min_value=0, max_value=2),
+    a=st.lists(_res_coeff, min_size=2, max_size=4),
+    b=st.lists(_res_coeff, min_size=2, max_size=4),
+)
+@example(which=0, a=[2**600 - 1, 3, 2**599], b=[5, 0, 0, -(2**600)])
+@example(which=2, a=[7, 2**600 + 1], b=[1, -(2**600), 0, 2**600 - 3])
 @settings(max_examples=120, deadline=None)
-def test_resultant_matches_naive_sylvester(Q3, a, b):
-    F, G = IntPoly(Q3, a), IntPoly(Q3, b)
+def test_resultant_matches_naive_sylvester(Q2, Q3, Q5, which, a, b):
+    field = (Q2, Q3, Q5)[which]
+    F, G = IntPoly(field, a), IntPoly(field, b)
     if not F or not G or F.degree == 0 or G.degree == 0:
         return
     assert resultant(F, G).coords[0] == _naive_resultant(F, G)
@@ -644,6 +655,36 @@ def test_resultant_divides_by_a_non_integer_over_extensions(E2, monkeypatch):
     assert 882 in divisors
 
 
+def test_resultant_builds_no_fraction_field_element(E2, U2, E3, monkeypatch):
+    # the remainder sequence divides by elements that are not rational
+    # integers, lc 6 + 9t among them, through integral cofactors alone: with
+    # the fraction-field element class replaced by one that raises, the
+    # resultants still match the Sylvester determinant over Q(t)
+    def refuse(*args):
+        raise AssertionError("the subresultant PRS built a fraction-field element")
+
+    monkeypatch.setattr(polyring, "_KElem", refuse)
+    divisors = []
+    exact_div = polyring._exact_div_elem
+
+    def recorded(a, cofactor, d, field):
+        divisors.append(d)
+        return exact_div(a, cofactor, d, field)
+
+    monkeypatch.setattr(polyring, "_exact_div_elem", recorded)
+    t, u, s = E2.generator(), U2.generator(), E3.generator()
+    for F, G in (
+        (IntPoly(E2, (1, 1, 0, 0, 1)), IntPoly(E2, (1, t, 0, t * 9 + 6))),
+        (IntPoly(E2, (t, 3, 1 - t, 2 * t + 1)), IntPoly(E2, (5, 0, t * 9 + 6))),
+        (IntPoly(U2, (u, 1, 3, 0, 1)), IntPoly(U2, (2, u, 0, u * 3 + 5))),
+        (IntPoly(E3, (1, s, 0, 2, 1)), IntPoly(E3, (s, 1, 0, s * 7 + 4))),
+    ):
+        divisors.clear()
+        assert resultant(F, G).coords == _sylvester_over_qt(F, G), (str(F), str(G))
+        assert resultant(G, F).coords == _sylvester_over_qt(G, F), (str(G), str(F))
+        assert divisors, (str(F), str(G))
+
+
 def _normalized_factor(G):
     """G made monic, then cleared of coordinate denominators, computed apart
     from the library on the test-local Q(t) arithmetic."""
@@ -705,24 +746,37 @@ def exact_calls(monkeypatch):
     return seen
 
 
-def test_wide_decomposition_runs_at_working_precision(Q3, E2, exact_calls):
-    # the 1,552-bit criterion-9 perturbation over Q_3 reaches the exact
-    # decomposition only as copies with coordinates of at most two machine
-    # words; the narrow one over Q_2(sqrt 2), 44 bits, reaches it as it is
+def test_wide_decomposition_runs_at_working_precision(Q3, E2, exact_calls, monkeypatch):
+    # the 1,552-bit criterion-9 perturbation over Q_3 is certified by the
+    # resultants of copies with coordinates of at most two machine words,
+    # and neither it nor a copy reaches the exact decomposition; the narrow
+    # one over Q_2(sqrt 2), 44 bits, reaches the exact decomposition as it is
+    resultant_args = []
+    exact_resultant = polyring.resultant
+
+    def recorded(F, G):
+        resultant_args.append((F, G))
+        return exact_resultant(F, G)
+
+    monkeypatch.setattr(polyring, "resultant", recorded)
     rng = random.Random(20260814)
     for field, m in ((Q3, 2), (E2, 5)):
         F = make_ck_not_power(field, m)
         shift = field.uniformizer() ** (stability_radius(F, field) + 1)
         F += IntPoly(field, [field.element(rng.choice((-2, -1, 1, 2))) * shift for _ in F.coeffs])
         exact_calls.clear()
+        resultant_args.clear()
         dec, res_ord = polyring._squarefree_decompose(F)
-        assert res_ord() == resultant(dec.factors[0][0], dec.factors[0][0].derivative()).ord()
         if field is Q3:
             assert F.height.bit_length() >= 1550
-            assert exact_calls and all(G.height.bit_length() <= 128 for G in exact_calls)
+            assert resultant_args and exact_calls == []
+            for copy, derivative in resultant_args:
+                assert copy.degree == F.degree and copy.height.bit_length() <= 128
+                assert derivative == copy.derivative()
         else:
             assert F.height.bit_length() <= 63
-            assert exact_calls == [F]
+            assert exact_calls == [F] and resultant_args == []
+        assert res_ord() == resultant(dec.factors[0][0], dec.factors[0][0].derivative()).ord()
 
 
 def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_calls):

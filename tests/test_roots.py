@@ -24,6 +24,7 @@ from padicpowers import (
     stability_radius,
     threshold_k0,
 )
+from padicpowers import polyring
 from padicpowers.roots import _analyse, _children, _descend
 
 
@@ -291,10 +292,19 @@ def test_res_ord_from_yun_matches_resultant(
     assert factor.res_ord == resultant(G, G.derivative()).ord()
 
 
-def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls):
+def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls, monkeypatch):
     # the 1,552-bit criterion-9 perturbation over Q_3 above the radius 977
-    # of its member takes its ord Res(G, G') from Yun on its copy modulo
-    # p^N, shifted to G by the resultant congruence, with no resultant
+    # of its member takes its ord Res(G, G') from the resultant of its copy
+    # modulo p^N, shifted to G by the resultant congruence: every resultant
+    # it takes is on a copy of at most 128 bits, none on F or G
+    resultant_args = []
+    counted = polyring.resultant
+
+    def recorded(A, B):
+        resultant_args.append(A)
+        return counted(A, B)
+
+    monkeypatch.setattr(polyring, "resultant", recorded)
     rng = random.Random(20260814)
     F = make_ck_not_power(Q3, 2)
     shift = Q3.uniformizer() ** 978
@@ -303,8 +313,10 @@ def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls):
     analysis_calls.clear()
     ((factor, _),) = _analyse(F, Q3).factors
     res_ord = factor.res_ord
-    assert analysis_calls == {"squarefree_decompose": 1}
     G = factor.poly
+    assert analysis_calls == {"squarefree_decompose": 1, "resultant": len(resultant_args)}
+    assert resultant_args and all(A.height.bit_length() <= 128 for A in resultant_args)
+    assert F not in resultant_args and G not in resultant_args
     assert res_ord == resultant(G, G.derivative()).ord()
     # a non-square-free F still takes one resultant per factor that is asked
     A, B = P(Q2, 3, 1, 4), P(Q2, 1, 2)
