@@ -10,18 +10,19 @@ integrality is verified before it is returned.  Its elements, on which
 Yun's algorithm runs, are integer coordinates over one denominator in
 lowest terms, and their products run on the integer kernel
 LocalField._mul_vec; an inverse is read from the integral cofactor of its
-numerator, which Bareiss's elimination gives from the integer system of
-multiplication by it.  Yun's first gcd(F, F') keeps the leading
-coefficients of its remainders, which give ord Res(F, F') of a square-free
-F.  A wide F, of height at least 2^512, is first tested at working
-precision: Res(F, F') is congruent modulo p^N to the resultant of F's copy
-with coordinates reduced modulo p^N, so a nonzero copy resultant with ord
-below e N certifies that F is square-free with the same ord, and Yun runs
-on no copy.
+numerator, a closed form over quadratic fields and otherwise given by
+Bareiss's elimination from the integer system of multiplication by it.
+Yun's first gcd(F, F') keeps the leading coefficients of its remainders,
+which give ord Res(F, F') of a square-free F.  A wide F, of height at
+least 2^512, is first tested at working precision: Res(F, F') is congruent
+modulo p^N to the resultant of F's copy with coordinates reduced modulo
+p^N, so a nonzero copy resultant with ord below e N certifies that F is
+square-free with the same ord, and Yun runs on no copy.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
-LocalField._mul_vec over extensions.  Resultants run one subresultant
+LocalField._mul_vec over extensions.  Products of polynomials convolve
+coordinate tuples through the same kernel.  Resultants run one subresultant
 remainder sequence on coordinate tuples over Z[t]/(g), with the base field
 as the one-coordinate case Z.  A divisor b that is not a rational integer
 is inverted once, as the same integral cofactor: adj b with b adj b = d, d
@@ -155,19 +156,34 @@ class IntPoly:
             return NotImplemented
         return o + (-self)
 
+    @classmethod
+    def _of(cls, field: LocalField, vecs: list[tuple[int, ...]]) -> "IntPoly":
+        """The polynomial with the given reduced coordinate tuples of field
+        as coefficients, low degree first, without coercing each through
+        field.element."""
+        while vecs and not any(vecs[-1]):
+            vecs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", tuple([OKElem(field, v) for v in vecs]))
+        return poly
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        field = self.field
+        a = [c.coords for c in self.coeffs]
+        b = [c.coords for c in o.coeffs]
         if not a or not b:
-            return IntPoly(self.field)
-        out = [self.field.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return IntPoly(self.field, out)
+            return IntPoly(field)
+        mul = field._mul_vec
+        out = [(0,) * field.degree] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if any(x):
+                for j, y in enumerate(b):
+                    out[i + j] = tuple(map(operator.add, out[i + j], mul(x, y)))
+        return IntPoly._of(field, out)
 
     __rmul__ = __mul__
 
@@ -274,15 +290,22 @@ def _cofactor(b: tuple[int, ...], field: LocalField) -> tuple[tuple[int, ...], i
     """The integral cofactor (adj, d) of a nonzero b: b adj = d with d a
     positive rational integer and gcd(d, *adj) = 1, so that adj / d = 1 / b.
 
-    b y = 1 is M y = e_0, M the matrix of multiplication by b, whose column
-    j holds the coordinates of b t^j; Bareiss gives D and D y, which are
-    reduced to lowest terms."""
+    Over a quadratic field, t^2 = -g_1 t - g_0, it is read off the closed
+    form adj(b_0 + b_1 t) = (b_0 - g_1 b_1) - b_1 t with d = b_0^2 - g_1 b_0
+    b_1 + g_0 b_1^2, the norm of b.  Otherwise b y = 1 is M y = e_0, M the
+    matrix of multiplication by b, whose column j holds the coordinates of
+    b t^j, and Bareiss gives D and D y.  Either pair is reduced to lowest
+    terms with d > 0."""
     n = field.degree
-    t = (0, 1) + (0,) * (n - 2)
-    cols = [b]
-    for _ in range(n - 1):
-        cols.append(field._mul_vec(cols[-1], t))
-    d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
+    if n == 2:
+        (b0, b1), (g0, g1) = b, field.defining[:2]
+        d, y = b0 * b0 - g1 * b0 * b1 + g0 * b1 * b1, (b0 - g1 * b1, -b1)
+    else:
+        t = (0, 1) + (0,) * (n - 2)
+        cols = [b]
+        for _ in range(n - 1):
+            cols.append(field._mul_vec(cols[-1], t))
+        d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
     g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
     return tuple(x // g for x in y), d // g
 
@@ -564,7 +587,8 @@ def _exact_decompose(F: IntPoly):
 def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
     """The decomposition of F from its monic Yun factors with their
     multiplicities: each factor cleared by the lcm of its coordinate
-    denominators, and the identity c F = lc prod G^m verified."""
+    denominators, and the identity c F = lc prod G^m verified as (c / g) F
+    = (lc / g) prod G^m, g = gcd(c, *lc.coords)."""
     field = F.field
     lc = F.lc
     factors: list[tuple[IntPoly, int]] = []
@@ -574,11 +598,13 @@ def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
         c *= s**mult
         factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
     result = SquareFreeDecomposition(lc=lc, factors=tuple(factors), c=c)
-    # always-on verification of the defining identity
-    rhs = IntPoly(field, (lc,))
+    # always-on verification of the defining identity, divided by g so
+    # that a wide F is not multiplied by a wide c
+    g = math.gcd(c, *lc.coords)
+    rhs = IntPoly(field, (OKElem(field, tuple([x // g for x in lc.coords])),))
     for G, mult in result.factors:
         rhs = rhs * G**mult
-    if F * c != rhs:  # pragma: no cover - would indicate an internal bug
+    if F * (c // g) != rhs:
         raise AssertionError("square-free decomposition identity failed")
     return result
 
@@ -596,11 +622,15 @@ def _at_working_precision(F: IntPoly, bits: int):
     F's one factor G = c F / lc(F) has ord Res(G, G') = ord Res(F, F') +
     (2n - 1) ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F').
     Every other case, a zero F^, a lower degree or an ord of e N or more
-    (a zero resultant included), goes on to the next precision.
+    (a zero resultant included), goes on to the next precision.  A copy
+    equal to the last one, as when F's coordinates are below p^N apart
+    from terms past every precision, keeps its resultant, whose ord is only
+    capped again at the new e N.
     """
     field = F.field
     p, e, n = field.p, field.e, F.degree
     N, q, word = 0, 1, 64
+    last = res_coords = None
     while True:
         while q >> word == 0:
             q, N = q * p, N + 1
@@ -609,7 +639,9 @@ def _at_working_precision(F: IntPoly, bits: int):
         moduli = _moduli(field, e * N)
         reduced = IntPoly(field, [_balanced(coeff.coords, moduli) for coeff in F.coeffs])
         if reduced and reduced.degree == n:
-            res = field._ord_vec(resultant(reduced, reduced.derivative()).coords, e * N)
+            if reduced != last:
+                last, res_coords = reduced, resultant(reduced, reduced.derivative()).coords
+            res = field._ord_vec(res_coords, e * N)
             if res < e * N:
                 result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
                 ord_c = e * _vp(result.c, p) - F.lc.ord()

@@ -134,6 +134,63 @@ def test_pow_is_the_repeated_product(Q2, E2, monkeypatch):
     assert not products
 
 
+def _schoolbook(F, G):
+    """F G by the convolution of its coefficients' coordinates as integer
+    polynomials in t, each product coefficient then reduced modulo the
+    defining polynomial g by long division."""
+    field = F.field
+    n = field.degree
+    g = field.defining
+    out = [[0] * (2 * n - 1) for _ in range(len(F.coeffs) + len(G.coeffs) - 1)]
+    for i, a in enumerate(F.coeffs):
+        for j, b in enumerate(G.coeffs):
+            for k, x in enumerate(a.coords):
+                for m, y in enumerate(b.coords):
+                    out[i + j][k + m] += x * y
+    for c in out:
+        for k in range(len(c) - 1, n - 1, -1):
+            q, c[k] = c[k], 0
+            for m in range(n):
+                c[k - n + m] -= q * g[m]
+    return IntPoly(field, [tuple(c[:n]) for c in out])
+
+
+def test_product_matches_schoolbook(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+    # products of signed coordinates up to 2,000 bits with zero
+    # coefficients, and powers up to the exponent p^2, equal the test-local
+    # convolution reduced by g on every fixture field; the zero polynomial
+    # annihilates, and a product across two fields is refused
+    rng = random.Random(20261019)
+    fields = (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3)
+
+    def poly(field, degree, bits):
+        def coeff():
+            if rng.random() < 0.25:
+                return field.zero()
+            return field.element([rng.randint(-(2**bits), 2**bits) for _ in range(field.degree)])
+
+        return IntPoly(field, [coeff() for _ in range(degree)] + [field.element(rng.randint(1, 9))])
+
+    for field in fields:
+        for _ in range(12):
+            bits = rng.choice((3, 64, 700, 2000))
+            F, G = poly(field, rng.randint(0, 5), bits), poly(field, rng.randint(0, 5), bits)
+            assert F * G == _schoolbook(F, G), (field, str(F), str(G))
+            assert G * F == F * G
+            assert F * G.lc == _schoolbook(F, IntPoly(field, (G.lc,)))
+        zero = IntPoly(field)
+        assert F * zero == zero * F == zero
+        assert zero**0 == IntPoly(field, (1,))
+        G = poly(field, 2, 40)
+        product = IntPoly(field, (1,))
+        for k in range(field.p**2 + 1):
+            assert G**k == product, (field, k)
+            product = _schoolbook(product, G)
+    for field, other in zip(fields, fields[1:]):
+        with pytest.raises(ValueError, match="mixed-field"):
+            P(field, 1, 1) * P(other, 1, 1)
+
+
 def test_derivative(Q2):
     assert P(Q2, 9, 0, 4, 0, 4).derivative() == P(Q2, 0, 8, 0, 16)
 
@@ -573,6 +630,34 @@ def test_kelem_matches_qt_reference(Q2, Q3, Q5, E2, U2, E2_cube, E3, which, a, b
             x.to_ok()
 
 
+def test_cofactor_matches_bareiss(E2, U2, E3, E2_w3):
+    # over quadratic fields the closed form adj(b_0 + b_1 t) = (b_0 - g_1
+    # b_1, -b_1) with d the norm of b gives, after normalization, the
+    # Bareiss solution of the system of multiplication by b, and b adj = d
+    # with d > 0 and gcd(d, *adj) = 1: on random b, on rational integers, on
+    # b of norm divisible by p and on E2_w3, where g_1 = 2
+    rng = random.Random(20261019)
+    for field in (E2, U2, E3, E2_w3):
+        p = field.p
+        t = field.generator()
+        cases = [(b,) + (0,) * (field.degree - 1) for b in (1, -1, p, -(p**5) * 7, 2**70 + 1)]
+        cases += [t.coords, (-t).coords, (t * p).coords, (t + p).coords, (t * 3 + 6).coords]
+        cases += [(p * rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(10)]
+        for bits in (4, 64, 2000):
+            cases += [(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits)) for _ in range(10)]
+        if field.f == 2:
+            cases += [(2, 2), (2, -4)]
+        for b in cases:
+            adj, d = polyring._cofactor(b, field)
+            assert d > 0 and math.gcd(d, *adj) == 1, (field, b)
+            assert field.element(b) * field.element(adj) == d, (field, b)
+            cols = [b, field._mul_vec(b, t.coords)]
+            D, y = polyring._solve([[col[i] for col in cols] + [int(not i)] for i in range(2)])
+            g = math.gcd(D, *y) if D > 0 else -math.gcd(D, *y)
+            assert (adj, d) == (tuple(x // g for x in y), D // g), (field, b)
+        assert any(polyring._cofactor(b, field)[1] % p == 0 for b in cases)
+
+
 def _sylvester_over_qt(F, G):
     """Determinant of the Sylvester matrix of F and G by Gaussian
     elimination over Q(t), as the integer coordinates of an element."""
@@ -830,3 +915,70 @@ def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_
             if res_ord:
                 G = dec.factors[0][0]
                 assert res_ord() == exact_res_ord() == resultant(G, G.derivative()).ord()
+
+
+def test_repeated_copy_takes_one_resultant(Q3, monkeypatch):
+    # the 1,552-bit criterion-9 perturbation over Q_3 differs from the
+    # member only in terms of ord 978, so its copies modulo 3^41 and 3^81
+    # are the same 5-bit member, whose ord Res 57 is past e N = 41 and
+    # below 81: one resultant serves both precisions
+    copies = []
+    exact_resultant = polyring.resultant
+
+    def recorded(F, G):
+        copies.append(F)
+        return exact_resultant(F, G)
+
+    monkeypatch.setattr(polyring, "resultant", recorded)
+    rng = random.Random(20260814)
+    F = make_ck_not_power(Q3, 2)
+    shift = Q3.uniformizer() ** (stability_radius(F, Q3) + 1)
+    F += IntPoly(Q3, [Q3.element(rng.choice((-2, -1, 1, 2))) * shift for _ in F.coeffs])
+    copies.clear()
+    dec, res_ord = polyring._squarefree_decompose(F)
+    assert F.height.bit_length() >= 1550
+    assert [copy.height.bit_length() for copy in copies] == [5]
+    assert res_ord() == 57 == exact_resultant(dec.factors[0][0], dec.factors[0][0].derivative()).ord()
+
+
+def _off_by_one(parts, which, coeff, coord):
+    """Yun's factors with one coordinate of one coefficient of factor
+    number which off by one."""
+    h, mult = parts[which]
+    c = h[coeff]
+    num = list(c.num)
+    num[coord] += c.den
+    h = h[:coeff] + (polyring._KElem(c.field, tuple(num), c.den),) + h[coeff + 1 :]
+    return parts[:which] + [(h, mult)] + parts[which + 1 :]
+
+
+def test_cleared_refuses_a_wrong_factor(Q3, E2, U2):
+    # the identity check (c / g) F = (lc / g) prod G^m, g = gcd(c, lc),
+    # refuses Yun factors with one coordinate off by one, on narrow input
+    # and on wide input, whose one factor is F / lc(F) as at working
+    # precision; the true factors pass
+    rng = random.Random(20261019)
+    t, u = E2.generator(), U2.generator()
+    narrow = [
+        P(Q3, 3, 2) ** 2 * P(Q3, -5, 0, 9),
+        P(E2, 1 + t, 2) ** 3 * P(E2, t, 1, 6),
+        P(U2, u, 2 + u) * P(U2, 3, 1) ** 2,
+    ]
+    for F in narrow:
+        parts = polyring._yun(polyring._kp_monic(polyring._kp_from_int(F)))[0]
+        assert polyring._cleared(F, parts) == squarefree_decompose(F)
+        for which, (h, _) in enumerate(parts):
+            for coeff in range(len(h)):
+                with pytest.raises(AssertionError, match="identity failed"):
+                    polyring._cleared(F, _off_by_one(parts, which, coeff, coeff % F.field.degree))
+    for field, top in ((Q3, 3**40 * 7), (E2, t * 2**41), (U2, 2 * u + 4)):
+        def big():
+            return field.element([rng.randint(-(2**1500), 2**1500) for _ in range(field.degree)])
+
+        F = IntPoly(field, [big(), big(), big(), top])
+        parts = [(polyring._kp_monic(polyring._kp_from_int(F)), 1)]
+        dec = polyring._cleared(F, parts)
+        assert dec.factors[0][0] == _normalized_factor(F)
+        for coeff in range(4):
+            with pytest.raises(AssertionError, match="identity failed"):
+                polyring._cleared(F, _off_by_one(parts, 0, coeff, field.degree - 1))
