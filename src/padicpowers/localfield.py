@@ -5,11 +5,21 @@ root of a monic polynomial that is irreducible mod p, and a totally ramified
 extension generated by a root of an Eisenstein polynomial.  Ring-of-integers
 elements are unbounded-integer coordinate vectors in the power basis of the
 generator, so all arithmetic is exact and reductions are always explicit.
+
+This is the one module that implements element arithmetic: the product
+of reduced coordinate tuples (LocalField._mul_vec), one binary power
+(_power) for elements, polynomials and resultants, and the integral
+cofactor of an element (_cofactor: a closed form over quadratic fields,
+Bareiss's fraction-free elimination above).  An unramified defining
+polynomial is checked by Rabin's irreducibility test on the field's own
+product, with coordinates reduced mod p, and a determinant from the same
+elimination for each gcd condition.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence, Union
@@ -47,21 +57,6 @@ RESIDUE_CAP = 1_000_000  # guard against runaway residue enumerations
 ElementLike = Union[int, Sequence[int], "OKElem"]
 
 _builtin_ord = ord  # the module exports its own `ord`
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    k = 5
-    while k * k <= n:
-        if n % k == 0 or n % (k + 2) == 0:
-            return False
-        k += 6
-    return True
 
 
 _LADDERS: dict[int, list[int]] = {}  # p -> [p, p^2, p^4, ...], grown on demand
@@ -106,106 +101,111 @@ def _vp(n: int, p: int, cap: Union[int, float] = math.inf) -> Union[int, float]:
     return v
 
 
-# ---------------------------------------------------------------------------
-# tiny GF(p)[x] toolkit, only used to validate unramified defining polynomials
-
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic polynomial g
-    n = len(g) - 1
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * g[j]) % p
-    return _gf_trim(out[:n])
-
-
-def _gf_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
-    result = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, base, g, p)
-        base = _gf_mulmod(base, base, g, p)
-        e >>= 1
-    return result
-
-
-def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _gf_trim(out)
-
-
-def _gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _gf_trim(a[:])
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        q = (a[-1] * inv) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - q * bj) % p
-        a = _gf_trim(a)
-    return a
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gf_trim(a[:]), _gf_trim(b[:])
-    while b:
-        a, b = b, _gf_mod(a, b, p)
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of an integer n >= 1, increasing, by trial
+    division by 2, 3 and then the 6k - 1 and 6k + 1 up to sqrt n."""
     out = []
-    d = 2
+    d, gap = 2, 1
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d, gap = d + gap, 2 if d < 5 else 6 - gap
     if n > 1:
         out.append(n)
     return out
 
 
-def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's test for a monic integer polynomial reduced mod p."""
-    g = [c % p for c in coeffs]
-    n = len(g) - 1
-    x = [0, 1]
-    # Rabin: x^(p^n) == x mod (g, p), and gcd(x^(p^(n/q)) - x, g) = 1 for q | n
-    acc = x[:]
+def _power(x, k: int, mul, one):
+    """x^k for an integer k >= 0 by binary powering with the product mul:
+    x^1 is x itself, and no square is taken past the last bit of k."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if result is None else result
+
+
+def _solve(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """D and D y for the integer system A y = c given as the rows of
+    [A | c]: Bareiss's fraction-free elimination, whose last pivot D =
+    +-det A makes D y integral by Cramer's rule, so every division, also in
+    the back substitution, is exact.  A singular A gives (0, [])."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if rows[i][k]), None)
+        if i is None:
+            return 0, []
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        x[k] = (prev * row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
+    return prev, x
+
+
+def _scaled_inverse(b: tuple[int, ...], field: LocalField) -> tuple[int, list[int]]:
+    """_solve of b y = 1 as M y = e_0, M the integer matrix of
+    multiplication by b in Z[t]/(g), whose column j holds the coordinates
+    of b t^j: D = +-det M and the coordinates of D / b, or (0, []) when b
+    is a zero divisor."""
+    n = field.degree
+    t = (0, 1) + (0,) * (n - 2)
+    cols = [b]
+    for _ in range(n - 1):
+        cols.append(field._mul_vec(cols[-1], t))
+    return _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
+
+
+def _cofactor(b: tuple[int, ...], field: LocalField) -> tuple[tuple[int, ...], int]:
+    """The integral cofactor (adj, d) of a nonzero b: b adj = d with d a
+    positive rational integer and gcd(d, *adj) = 1, so that adj / d = 1 / b.
+
+    Over a quadratic field, t^2 = -g_1 t - g_0, it is read off the closed
+    form adj(b_0 + b_1 t) = (b_0 - g_1 b_1) - b_1 t with d = b_0^2 - g_1 b_0
+    b_1 + g_0 b_1^2, the norm of b.  Otherwise Bareiss gives D and D / b
+    (_scaled_inverse).  Either pair is reduced to lowest terms with d > 0."""
+    if field.degree == 2:
+        (b0, b1), (g0, g1) = b, field.defining[:2]
+        d, y = b0 * b0 - g1 * b0 * b1 + g0 * b1 * b1, (b0 - g1 * b1, -b1)
+    else:
+        d, y = _scaled_inverse(b, field)
+    g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
+    return tuple(x // g for x in y), d // g
+
+
+def _irreducible_mod_p(field: LocalField) -> bool:
+    """Rabin's test of the defining polynomial g of degree n modulo p, on
+    the field's own product with coordinates reduced mod p: g is
+    irreducible mod p iff t^(p^n) = t and, for each prime q | n, h =
+    t^(p^(n/q)) - t is a unit mod (g, p), that is gcd(h, g) = 1 over
+    GF(p): the matrix of multiplication by h has a determinant prime to p
+    (Rabin, Probabilistic algorithms in finite fields, 1980)."""
+    p, n = field.p, field.degree
+
+    def mul(a, b):
+        return tuple([c % p for c in field._mul_vec(a, b)])
+
+    one = (1,) + (0,) * (n - 1)
+    t = (0, 1) + (0,) * (n - 2)
+    frobenius = [t]  # t^(p^i)
     for _ in range(n):
-        acc = _gf_powmod(acc, p, g, p)
-    if _gf_sub(acc, x, p):
+        frobenius.append(_power(frobenius[-1], p, mul, one))
+    if frobenius[n] != t:
         return False
-    for q in _prime_factors(n):
-        acc = x[:]
-        for _ in range(n // q):
-            acc = _gf_powmod(acc, p, g, p)
-        d = _gf_gcd(_gf_sub(acc, x, p), g[:], p)
-        if len(d) != 1:
-            return False
-    return True
+    return all(
+        _scaled_inverse(tuple(map(operator.sub, frobenius[n // q], t)), field)[0] % p
+        for q in _prime_factors(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ class LocalField:
         if isinstance(value, int):
             coords = (value,) + (0,) * (self.degree - 1)
             return OKElem(self, coords)
-        vec = list(value)
+        vec = list(map(operator.index, value))
         if len(vec) > self.degree:
             if self.kind == BASE:
                 raise ValueError(
@@ -430,15 +430,7 @@ class OKElem:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, operator.mul, self.field.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -498,7 +490,7 @@ def make_field(p: int, kind: str, defining_poly: Sequence[int] | None = None) ->
     defining_poly is given low degree first and must be monic; it is required
     for the two extension kinds and rejected for the base field.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2 or _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     if kind == BASE:
         if defining_poly is not None:
@@ -511,7 +503,7 @@ def make_field(p: int, kind: str, defining_poly: Sequence[int] | None = None) ->
         )
     if defining_poly is None:
         raise UnsupportedField(f"kind {kind!r} requires a defining polynomial")
-    coeffs = tuple(int(c) for c in defining_poly)
+    coeffs = tuple(operator.index(c) for c in defining_poly)
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     n = len(coeffs) - 1
@@ -525,9 +517,10 @@ def make_field(p: int, kind: str, defining_poly: Sequence[int] | None = None) ->
         if any(c % p for c in coeffs[1:-1]):
             raise NotEisenstein("all non-leading coefficients must be divisible by p")
         return LocalField(p, EISENSTEIN, coeffs)
-    if not _irreducible_mod_p(coeffs, p):
+    field = LocalField(p, UNRAMIFIED, coeffs)
+    if not _irreducible_mod_p(field):
         raise NotIrreducibleModP(f"defining polynomial is reducible modulo {p}")
-    return LocalField(p, UNRAMIFIED, coeffs)
+    return field
 
 
 def ord(x: OKElem, field: LocalField | None = None) -> Union[int, float]:

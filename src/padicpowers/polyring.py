@@ -10,8 +10,9 @@ integrality is verified before it is returned.  Its elements, on which
 Yun's algorithm runs, are integer coordinates over one denominator in
 lowest terms, and their products run on the integer kernel
 LocalField._mul_vec; an inverse is read from the integral cofactor of its
-numerator, a closed form over quadratic fields and otherwise given by
-Bareiss's elimination from the integer system of multiplication by it.
+numerator, which localfield provides (a closed form over quadratic fields,
+otherwise Bareiss's elimination from the integer system of multiplication
+by it).
 Yun's first gcd(F, F') keeps the leading coefficients of its remainders,
 which give ord Res(F, F') of a square-free F.  A wide F, of height at
 least 2^512, is first tested at working precision: Res(F, F') is congruent
@@ -27,7 +28,8 @@ remainder sequence on coordinate tuples over Z[t]/(g), with the base field
 as the one-coordinate case Z.  A divisor b that is not a rational integer
 is inverted once, as the same integral cofactor: adj b with b adj b = d, d
 a rational integer, so every division by b is an exact integer division of
-the coordinates.
+the coordinates.  Powers of polynomials and of the sequence's coefficients
+take localfield's one binary power.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Union
 
 from .errors import ZeroPolynomial
-from .localfield import LocalField, OKElem, _vp
+from .localfield import LocalField, OKElem, _cofactor, _power, _vp
 from .powerclasses import _balanced, _moduli, is_pth_power
 
 __all__ = [
@@ -190,16 +191,7 @@ class IntPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return IntPoly(self.field, (1,)) if result is None else result
+        return _power(self, exponent, operator.mul, IntPoly(self.field, (1,)))
 
     def __call__(self, x: CoeffLike) -> OKElem:
         field = self.field
@@ -262,52 +254,7 @@ def reciprocal(F: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# integral cofactors, and the private fraction-field layer
-
-
-def _solve(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """D and D y for the integer system A y = c given as the rows of
-    [A | c], A invertible: Bareiss's fraction-free elimination, whose last
-    pivot D = +-det A makes D y integral by Cramer's rule, so every
-    division, also in the back substitution, is exact."""
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        i = next(i for i in range(k, n) if rows[i][k])
-        rows[k], rows[i] = rows[i], rows[k]
-        top = rows[k]
-        for row in rows[k + 1 :]:
-            row[k + 1 :] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
-        prev = top[k]
-    x = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = rows[k]
-        x[k] = (prev * row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
-    return prev, x
-
-
-def _cofactor(b: tuple[int, ...], field: LocalField) -> tuple[tuple[int, ...], int]:
-    """The integral cofactor (adj, d) of a nonzero b: b adj = d with d a
-    positive rational integer and gcd(d, *adj) = 1, so that adj / d = 1 / b.
-
-    Over a quadratic field, t^2 = -g_1 t - g_0, it is read off the closed
-    form adj(b_0 + b_1 t) = (b_0 - g_1 b_1) - b_1 t with d = b_0^2 - g_1 b_0
-    b_1 + g_0 b_1^2, the norm of b.  Otherwise b y = 1 is M y = e_0, M the
-    matrix of multiplication by b, whose column j holds the coordinates of
-    b t^j, and Bareiss gives D and D y.  Either pair is reduced to lowest
-    terms with d > 0."""
-    n = field.degree
-    if n == 2:
-        (b0, b1), (g0, g1) = b, field.defining[:2]
-        d, y = b0 * b0 - g1 * b0 * b1 + g0 * b1 * b1, (b0 - g1 * b1, -b1)
-    else:
-        t = (0, 1) + (0,) * (n - 2)
-        cols = [b]
-        for _ in range(n - 1):
-            cols.append(field._mul_vec(cols[-1], t))
-        d, y = _solve([[col[i] for col in cols] + [int(not i)] for i in range(n)])
-    g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
-    return tuple(x // g for x in y), d // g
+# the private fraction-field layer
 
 
 class _KElem:
@@ -793,7 +740,7 @@ def _prs_resultant(A: list, B: list, field: LocalField) -> tuple[int, ...]:
     one = field.one().coords
 
     def power(x, k):
-        return reduce(mul, [x] * k) if k else one
+        return _power(x, k, mul, one)
 
     sign = 1
     if len(A) < len(B):

@@ -32,7 +32,7 @@ from .polyring import (
     reciprocal,
     resultant,
 )
-from .powerclasses import _balanced, _moduli, threshold_k0
+from .powerclasses import _balanced, _moduli
 
 __all__ = [
     "PadicRootReport",
@@ -369,11 +369,28 @@ def _int_nth_root(n: int, k: int) -> int | None:
 
 
 def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
-    """Every w in the coordinate ring with w^p = x: an integer root over
-    the base field; over an extension each ring root of X^p - x, descended
-    to depths max(2 k0 + ord x, 8) doubling up to 512, lifted to small
+    """Every w in the coordinate ring Z[t] with w^p = x: an integer root
+    over the base field; over an extension each ring root of X^p - x,
+    descended once to a depth D derived from x, lifted to balanced
     coordinates and verified.  For p = 2, +-w with the one whose first
-    nonzero coordinate is positive first."""
+    nonzero coordinate is positive first.
+
+    The depth.  Let g = sum g_i t^i be the defining polynomial, of degree
+    n, and R = 1 + max |g_i|, which bounds every complex conjugate of t
+    (Cauchy).  For each embedding s, |s(w)|^p = |s(x)| <= X = sum |x_i|
+    R^i.  By Euler's lemma the coordinates of w are w_i = Tr(w b_i(t) /
+    g'(t)), where g(X) / (X - t) = sum b_i(t) X^i is the dual basis; b_i =
+    sum_(k>i) g_k t^(k-i-1) has at most n terms, each below R^n in
+    absolute value, so |b_i| <= n R^n.  The discriminant of g, an
+    irreducible integer polynomial, is a nonzero integer and the product
+    of the g'(s(t)), each of absolute value at most (2R)^(n-1), so |g'(s(t))|
+    >= (2R)^(-(n-1)^2).  Summing over the n embeddings, every coordinate
+    of w is below C = n^2 R^n (2R)^((n-1)^2) X^(1/p).  With p^m > 2C and D
+    = e (m + 1), a truncation a with ord(a - w) >= D agrees with w modulo
+    p^(m+1) in every coordinate (the lattice of ord >= D), so its balanced
+    coordinates, in (-p^(m+1)/2, p^(m+1)/2], are those of w.  A ring root
+    outside Z[t] fails the check and is dropped.
+    """
     p = field.p
     if not x:
         return [field.zero()]
@@ -384,22 +401,27 @@ def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
             return []
         w = field.element(r if n > 0 else -r)
         return [w, -w] if p == 2 else [w]
-    v = x.ord()
-    if v % p:
+    if x.ord() % p:
         return []
-    start = max(2 * threshold_k0(field) + v, 8)
-    depths = [start] + [start << i for i in (1, 2, 3) if start << i <= 512]
+    n = field.degree
+    R = 1 + max(map(abs, field.defining))
+    # p^m > 2 C, raised to the p-th power so that it is a test on integers
+    bound = (2 * n * n * R**n * (2 * R) ** ((n - 1) ** 2)) ** p * sum(
+        abs(c) * R**i for i, c in enumerate(x.coords)
+    )
+    m = 0
+    while p ** (m * p) <= bound:
+        m += 1
+    depth = field.e * (m + 1)
+    moduli = _moduli(field, depth)
     G = IntPoly(field, (-x,) + (0,) * (p - 1) + (1,))
     out = []
     for root in _ring_roots(G, field).roots:
-        deeper = _descend(G, root)
-        for depth in depths:
-            while root.precision < depth:
-                root = next(deeper)
-            w = OKElem(field, _balanced(root.truncation.coords, _moduli(field, depth)))
-            if w**p == x:
-                out.append(w)
-                break
+        if root.precision < depth:
+            root = next(r for r in _descend(G, root) if r.precision >= depth)
+        w = OKElem(field, _balanced(root.truncation.coords, moduli))
+        if w**p == x:
+            out.append(w)
     if p == 2:
         out.sort(key=lambda w: next(c for c in w.coords if c) < 0)
     return out

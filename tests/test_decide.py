@@ -245,6 +245,12 @@ def test_ck_zero_polynomial(Q2):
     assert report.bounds is None
 
 
+def test_ck_rejects_non_integer_coefficients(Q2):
+    # a float coordinate is refused with TypeError as the polynomial is built
+    with pytest.raises(TypeError):
+        decide_CK(IntPoly(Q2, ([1.5], [1])), Q2)
+
+
 def test_ck_root_in_field(Q2):
     report = decide_CK(P(Q2, -17, 0, 1), Q2)
     assert not report.verdict

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from padicpowers import (
     reduce_mod,
     residues,
 )
-from padicpowers.localfield import _vp
+from padicpowers.localfield import _prime_factors, _solve, _vp
 
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
 coord_pairs = st.tuples(small_ints, small_ints)
@@ -65,6 +67,79 @@ def test_make_field_rejects_bad_input():
         make_field(2, EISENSTEIN, (-2, 0, 2))
     with pytest.raises(NotIrreducibleModP):
         make_field(3, UNRAMIFIED, (-1, 0, 1))
+
+
+def test_make_field_rejects_non_integer_coefficients():
+    # a float is not truncated (1.9 would give t^2 - 2) and a string is not
+    # parsed: both raise TypeError where they enter
+    with pytest.raises(TypeError):
+        make_field(2, EISENSTEIN, (-2, 0, 1.9))
+    with pytest.raises(TypeError):
+        make_field(2, EISENSTEIN, ("-2", "0", "1"))
+
+
+def _has_factor_mod_p(g, p):
+    """True when the monic g, low degree first, has a monic factor of
+    degree 1 to deg g // 2 modulo p: every candidate divides by long
+    division."""
+    n = len(g) - 1
+    for k in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=k):
+            r = [c % p for c in g]
+            for i in range(n - k, -1, -1):
+                c = r[i + k]
+                for j, h in enumerate(low + (1,)):
+                    r[i + j] = (r[i + j] - c * h) % p
+            if not any(r[:k]):
+                return True
+    return False
+
+
+def test_make_field_irreducibility_matches_factor_search():
+    # Rabin's test against an exhaustive factor search: every monic g of
+    # degree 2-5 modulo 2 and 3 and of degree 2-3 modulo 5 and 7, then
+    # seeded integer lifts, whose coefficients reach past p and below 0
+    cases = [
+        (p, low + (1,))
+        for p, top in ((2, 5), (3, 5), (5, 3), (7, 3))
+        for n in range(2, top + 1)
+        for low in product(range(p), repeat=n)
+    ]
+    rng = random.Random(20261020)
+    for _ in range(1200):
+        n = rng.randint(2, 5)
+        cases.append((rng.choice((2, 3, 5, 7, 11)), tuple(rng.randint(-60, 60) for _ in range(n)) + (1,)))
+    verdicts = []
+    for p, g in cases:
+        irreducible = not _has_factor_mod_p(g, p)
+        verdicts.append(irreducible)
+        if irreducible:
+            assert make_field(p, UNRAMIFIED, g).defining == g
+        else:
+            with pytest.raises(NotIrreducibleModP):
+                make_field(p, UNRAMIFIED, g)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_prime_factors_by_trial_division():
+    # the 6k +- 1 stepping against division by every d, and the prime test
+    # of make_field that reads it
+    for n in range(1, 3000):
+        naive = [d for d in range(2, n + 1) if n % d == 0 and all(d % q for q in range(2, d))]
+        assert _prime_factors(n) == naive, n
+    for n in range(-3, 60):
+        if n > 1 and _prime_factors(n) == [n]:
+            assert make_field(n, BASE).p == n
+        else:
+            with pytest.raises(NotPrime):
+                make_field(n, BASE)
+
+
+def test_solve_singular_system():
+    # Bareiss on [A | c]: D = +-det A and D y; a singular A gives (0, [])
+    assert _solve([[2, 1, 1], [1, 1, 0]]) == (1, [1, -1])
+    assert _solve([[1, 2, 1], [2, 4, 0]]) == (0, [])
+    assert _solve([[0, 0, 1], [0, 0, 1]]) == (0, [])
 
 
 # --- valuation
@@ -252,3 +327,11 @@ def test_base_field_element_takes_one_coordinate(Q2):
     assert Q2.element((5,)) == Q2.element(5)
     with pytest.raises(ValueError, match="one coordinate"):
         Q2.element((1, 2))
+
+
+def test_element_rejects_non_integer_coordinates(Q2, E2):
+    # a coordinate that is not an integer raises TypeError at once
+    with pytest.raises(TypeError):
+        Q2.element([0.5])
+    with pytest.raises(TypeError):
+        E2.element(("1", 0))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicpowers import polyring
+from padicpowers import localfield, polyring
 from padicpowers import (
     EISENSTEIN,
     IntPoly,
@@ -120,18 +120,23 @@ def test_arithmetic_is_pointwise(Q3, a, b, point):
 
 def test_pow_is_the_repeated_product(Q2, E2, monkeypatch):
     t = E2.generator()
-    for G in (P(Q2, 3, -1, 2), P(E2, t, 1 + t, 2)):
-        product = P(G.field, 1)
+    cases = ((P(Q2, 3, -1, 2), P(Q2, 1)), (P(E2, t, 1 + t, 2), P(E2, 1)), (1 + t, E2.one()))
+    for G, product in cases:
         for k in range(7):
             assert G**k == product
             product = product * G
-    # G**1 is G itself: no product by 1 and no square thrown away
-    products = []
-    mul = IntPoly.__mul__
-    monkeypatch.setattr(IntPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
-    G = P(E2, t, 1 + t, 2)
-    assert G**1 == G
-    assert not products
+    # binary powering takes floor(log2 k) squares and one product per set
+    # bit of k after the first: G**1 is G itself, with no product by 1, and
+    # no square is thrown away after the last bit
+    for G in (P(E2, t, 1 + t, 2), 1 + t):
+        expected = {k: G**k for k in (1, 2, 5, 8, 11)}
+        products = []
+        mul = type(G).__mul__
+        monkeypatch.setattr(type(G), "__mul__", lambda a, b: products.append(b) or mul(a, b))
+        for k, value in expected.items():
+            products.clear()
+            assert G**k == value
+            assert len(products) == k.bit_length() + bin(k).count("1") - 2, (G, k)
 
 
 def _schoolbook(F, G):
@@ -349,6 +354,17 @@ def test_perfect_power_fixtures(Q2, Q3, E2, E3):
     s = E3.generator()
     G = IntPoly(E3, (1, 1 + s))
     assert is_perfect_pth_power_poly(G**3, 3) == G
+
+
+def test_perfect_power_of_wide_coordinates(E2, U2, E3, E2_cube):
+    # the descent depth comes from the bound on the root's coordinates that
+    # lc(F) gives, so a root is found however wide its coordinates are
+    for field in (E2, U2, E3, E2_cube):
+        for k in (50, 100, 300):
+            for G in (IntPoly(field, (1, 2**k + 1)), IntPoly(field, (1, (2**k + 1, 2 ** (k // 2))))):
+                F = G**field.p
+                root = is_perfect_pth_power_poly(F, field.p)
+                assert root is not None and root**field.p == F, (field, k, G)
 
 
 @given(
@@ -648,14 +664,14 @@ def test_cofactor_matches_bareiss(E2, U2, E3, E2_w3):
         if field.f == 2:
             cases += [(2, 2), (2, -4)]
         for b in cases:
-            adj, d = polyring._cofactor(b, field)
+            adj, d = localfield._cofactor(b, field)
             assert d > 0 and math.gcd(d, *adj) == 1, (field, b)
             assert field.element(b) * field.element(adj) == d, (field, b)
             cols = [b, field._mul_vec(b, t.coords)]
-            D, y = polyring._solve([[col[i] for col in cols] + [int(not i)] for i in range(2)])
+            D, y = localfield._solve([[col[i] for col in cols] + [int(not i)] for i in range(2)])
             g = math.gcd(D, *y) if D > 0 else -math.gcd(D, *y)
             assert (adj, d) == (tuple(x // g for x in y), D // g), (field, b)
-        assert any(polyring._cofactor(b, field)[1] % p == 0 for b in cases)
+        assert any(localfield._cofactor(b, field)[1] % p == 0 for b in cases)
 
 
 def _sylvester_over_qt(F, G):
