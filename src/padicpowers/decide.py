@@ -25,10 +25,9 @@ computed from resultants and attached to every scan report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     DegreeTooSmall,
@@ -67,8 +66,7 @@ DEFAULT_BUDGET = 10_000_000
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Quantitative certificates attached to a decision.
 
     kras_upper bounds the Krasner constant from the discriminant; it is None
@@ -84,8 +82,7 @@ class BoundsReport:
     pejkovic_log_p: Optional[float]
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     """Full certificate of a membership scan.
 
     For verdict False the counterexample names a witness point and the

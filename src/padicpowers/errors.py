@@ -29,6 +29,12 @@ class NotPrime(PadicError):
     reason = "not-prime"
 
 
+class PrimalityUnproven(PadicError):
+    """A p past the bound below which the prime test is a proof."""
+
+    reason = "primality-unproven"
+
+
 class NotEisenstein(PadicError):
     reason = "not-eisenstein"
 

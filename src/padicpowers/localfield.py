@@ -30,6 +30,7 @@ from .errors import (
     NotEisenstein,
     NotIrreducibleModP,
     NotPrime,
+    PrimalityUnproven,
     UnsupportedField,
 )
 
@@ -99,6 +100,35 @@ def _vp(n: int, p: int, cap: Union[int, float] = math.inf) -> Union[int, float]:
             n //= ladder[j]
             v += 1 << j
     return v
+
+
+# the first 13 primes, and the least composite that is a strong probable
+# prime to all of them (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin's strong test of an integer n >= 2 to each of the
+    _PRIME_BASES: False proves n composite, and True proves n prime below
+    _PRIME_TEST_PROVEN_BELOW."""
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -488,10 +518,18 @@ def make_field(p: int, kind: str, defining_poly: Sequence[int] | None = None) ->
     """Construct and validate a LocalField.
 
     defining_poly is given low degree first and must be monic; it is required
-    for the two extension kinds and rejected for the base field.
+    for the two extension kinds and rejected for the base field.  p is
+    tested by _strong_probable_prime, a proof below 3.3e24; a p past that
+    bound that the test does not prove composite raises PrimalityUnproven.
     """
-    if not isinstance(p, int) or p < 2 or _prime_factors(p) != [p]:
+    if not isinstance(p, int) or p < 2 or not _strong_probable_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if p >= _PRIME_TEST_PROVEN_BELOW:
+        raise PrimalityUnproven(
+            f"{p} passes the strong test to the prime bases 2, ..., 41, a proof of "
+            f"primality only below {_PRIME_TEST_PROVEN_BELOW}",
+            bound=_PRIME_TEST_PROVEN_BELOW,
+        )
     if kind == BASE:
         if defining_poly is not None:
             raise UnsupportedField("the base field takes no defining polynomial")
@@ -566,16 +604,17 @@ def iter_residues(field: LocalField, k: int) -> Iterator[OKElem]:
         for digits in product(range(p**k), repeat=field.f):
             yield field.element(digits)
         return
-    gen = field.generator()
-    pows = [field.one()]
+    t = field.generator().coords
+    pows = [field.one().coords]
     for _ in range(k - 1):
-        pows.append(pows[-1] * gen)
+        pows.append(field._mul_vec(pows[-1], t))
     for digits in product(range(p), repeat=k):
-        acc = field.zero()
-        for i, c in enumerate(digits):
+        acc = [0] * field.degree
+        for c, power in zip(digits, pows):
             if c:
-                acc = acc + pows[i] * c
-        yield acc
+                for j, x in enumerate(power):
+                    acc[j] += c * x
+        yield OKElem(field, tuple(acc))
 
 
 @lru_cache(maxsize=256)

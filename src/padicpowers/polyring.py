@@ -18,7 +18,9 @@ which give ord Res(F, F') of a square-free F.  A wide F, of height at
 least 2^512, is first tested at working precision: Res(F, F') is congruent
 modulo p^N to the resultant of F's copy with coordinates reduced modulo
 p^N, so a nonzero copy resultant with ord below e N certifies that F is
-square-free with the same ord, and Yun runs on no copy.
+square-free with the same ord, and Yun runs on no copy.  A wide F that no
+copy certifies takes Res(F, F') exactly, and a nonzero value certifies it
+in the same way; only a wide F with a repeated factor reaches Yun.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
@@ -36,8 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ZeroPolynomial
 from .localfield import LocalField, OKElem, _cofactor, _power, _vp
@@ -456,16 +457,16 @@ def _yun(a: tuple[_KElem, ...]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareFreeDecomposition:
+class SquareFreeDecomposition(NamedTuple):
     """c * F = lc * prod factor_i ^ mult_i, all sides exactly integral.
 
     lc is the leading coefficient of F.  Factors have valuation-ring
     coefficients, are square-free and pairwise coprime; each is a monic Yun
     factor cleared by the lcm of its coordinate denominators, so its
     coordinates have no common divisor and c, the product of those lcms to
-    the multiplicities, is a positive rational integer.  The identity is
-    re-verified on construction.
+    the multiplicities, is a positive rational integer.  Every
+    decomposition the module returns has had the identity verified by
+    _cleared; the record itself checks nothing.
     """
 
     lc: OKElem
@@ -480,10 +481,11 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     precision: when its copy modulo p^N, for some p^N of at most an eighth
     of its bits, has a nonzero resultant with its derivative, of ord below
     e N, the resultant congruence certifies that F is square-free, and F's
-    one factor is returned; otherwise, and for every narrower polynomial,
-    Yun runs on F itself.  Either way the identity below is verified.  Raises
-    ZeroPolynomial on the zero input.  Constants decompose with an empty
-    factor list.
+    one factor is returned.  Past the last copy, a nonzero Res(F, F') taken
+    exactly certifies it in the same way.  Otherwise, and for every
+    narrower polynomial, Yun runs on F itself.  Either way the identity
+    below is verified.  Raises ZeroPolynomial on the zero input.  Constants
+    decompose with an empty factor list.
     """
     return _squarefree_decompose(F)[0]
 
@@ -493,8 +495,10 @@ def _squarefree_decompose(F: IntPoly):
     function giving ord Res(G, G') of its factor G = c a, a = F / lc(F).
 
     A wide F, of height at least 2^512, is first tried at working precision
-    (_at_working_precision); narrow input and every F it cannot certify
-    take the exact decomposition.
+    (_at_working_precision); one that no copy certifies takes Res(F, F')
+    exactly, whose nonzero value certifies F square-free with its ord.
+    Narrow input and every wide F with Res(F, F') = 0 take the exact
+    decomposition.
     """
     if F.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
@@ -505,6 +509,9 @@ def _squarefree_decompose(F: IntPoly):
         found = _at_working_precision(F, bits)
         if found:
             return found
+        res = resultant(F, F.derivative())
+        if res:
+            return _square_free(F, res.ord())
     return _exact_decompose(F)
 
 
@@ -565,14 +572,12 @@ def _at_working_precision(F: IntPoly, bits: int):
     least power of p past 2^64, 2^128, 2^256, ... while p^N has at most an
     eighth of F's bits.  When F^ keeps F's degree, the Sylvester
     determinant gives Res(F, F') = Res(F^, F^') (mod p^N); so a nonzero
-    Res(F^, F^') with ord < e N makes F square-free with the same ord, and
-    F's one factor G = c F / lc(F) has ord Res(G, G') = ord Res(F, F') +
-    (2n - 1) ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F').
-    Every other case, a zero F^, a lower degree or an ord of e N or more
-    (a zero resultant included), goes on to the next precision.  A copy
-    equal to the last one, as when F's coordinates are below p^N apart
-    from terms past every precision, keeps its resultant, whose ord is only
-    capped again at the new e N.
+    Res(F^, F^') with ord < e N makes F square-free with the same ord
+    (_square_free).  Every other case, a zero F^, a lower degree or an ord
+    of e N or more (a zero resultant included), goes on to the next
+    precision.  A copy equal to the last one, as when F's coordinates are
+    below p^N apart from terms past every precision, keeps its resultant,
+    whose ord is only capped again at the new e N.
     """
     field = F.field
     p, e, n = field.p, field.e, F.degree
@@ -590,10 +595,19 @@ def _at_working_precision(F: IntPoly, bits: int):
                 last, res_coords = reduced, resultant(reduced, reduced.derivative()).coords
             res = field._ord_vec(res_coords, e * N)
             if res < e * N:
-                result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
-                ord_c = e * _vp(result.c, p) - F.lc.ord()
-                return result, lambda: res + (2 * n - 1) * ord_c
+                return _square_free(F, res)
         word *= 2
+
+
+def _square_free(F: IntPoly, res: int):
+    """_squarefree_decompose of an F certified square-free with ord
+    Res(F, F') = res: F's one factor G = c F / lc(F), cleared and
+    identity-checked by _cleared, and ord Res(G, G') = res + (2n - 1)
+    ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F')."""
+    field = F.field
+    result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
+    ord_c = field.e * _vp(result.c, field.p) - F.lc.ord()
+    return result, lambda: res + (2 * F.degree - 1) * ord_c
 
 
 def _power_free_part(F: IntPoly, dec: SquareFreeDecomposition) -> IntPoly:
@@ -646,8 +660,7 @@ def is_power_free(F: IntPoly, p: int) -> bool:
     return all(mult < p for _, mult in squarefree_decompose(F).factors)
 
 
-@dataclass(frozen=True)
-class NecessaryConditions:
+class NecessaryConditions(NamedTuple):
     """Cheap screens that every member polynomial must pass."""
 
     deg_ok: bool

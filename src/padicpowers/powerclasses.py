@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ArtinCountViolation, ZeroArgument
-from .localfield import EISENSTEIN, LocalField, OKElem, residues
+from .localfield import EISENSTEIN, LocalField, OKElem, _power, residues
 
 __all__ = [
     "PowerClassId",
@@ -84,19 +84,21 @@ def _unit_class_reps(
     visited in residue order with 1 seeded first, so each representative is
     the first unit of its class in that order, and the trivial class is
     always represented by 1.  Elements of every valuation are read through
-    their unit parts (_unit_class_index).
+    their unit parts (_unit_class_index).  Powers and products run on
+    coordinate tuples through LocalField._mul_vec.
     """
     p, k0 = field.p, threshold_k0(field)
+    mul, one = field._mul_vec, field.one().coords
     moduli = _moduli(field, k0)
-    units = [c for c in residues(field, k0) if c.is_unit()]
-    powers = list({_key(cp.coords, moduli): cp for cp in (c**p for c in units)}.values())
+    units = [c.coords for c in residues(field, k0) if c.is_unit()]
+    powers = list({_key(q, moduli): q for q in (_power(c, p, mul, one) for c in units)}.values())
     reps: list[OKElem] = []
     index: dict[tuple[int, ...], int] = {}
-    for c in [field.one()] + units:
-        if _key(c.coords, moduli) not in index:
+    for c in [one] + units:
+        if _key(c, moduli) not in index:
             for q in powers:
-                index[_key((c * q).coords, moduli)] = len(reps)
-            reps.append(c)
+                index[_key(mul(c, q), moduli)] = len(reps)
+            reps.append(OKElem(field, c))
     return tuple(reps), index, moduli, k0
 
 
@@ -132,8 +134,7 @@ def same_class(x: OKElem, y: OKElem, field: LocalField) -> bool:
     return is_pth_power(x * y ** (field.p - 1), field)
 
 
-@dataclass(frozen=True)
-class PowerClassId:
+class PowerClassId(NamedTuple):
     """Canonical identifier of one coset: rep = pi^j * unit_rep.
 
     unit_index is the position of unit_rep in the deterministic ordering of

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import NotSquareFree, ZeroPolynomial
 from .localfield import BASE, LocalField, OKElem, residues
@@ -32,7 +31,7 @@ from .polyring import (
     reciprocal,
     resultant,
 )
-from .powerclasses import _balanced, _moduli
+from .powerclasses import _balanced, _moduli, threshold_k0
 
 __all__ = [
     "PadicRootReport",
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RootApproximation:
+class RootApproximation(NamedTuple):
     """A certified root truncation: some genuine root r has ord(r - truncation)
     at least the stated precision.  Exact roots carry infinite precision."""
 
@@ -54,8 +52,7 @@ class RootApproximation:
     certified_by_hensel: bool
 
 
-@dataclass(frozen=True)
-class PadicRootReport:
+class PadicRootReport(NamedTuple):
     exists: bool
     roots: tuple[RootApproximation, ...]
     search_depth_used: int
@@ -371,8 +368,12 @@ def _int_nth_root(n: int, k: int) -> int | None:
 def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
     """Every w in the coordinate ring Z[t] with w^p = x: an integer root
     over the base field; over an extension each ring root of X^p - x,
-    descended once to a depth D derived from x, lifted to balanced
-    coordinates and verified.  For p = 2, +-w with the one whose first
+    descended once, its truncation lifted to balanced coordinates and
+    verified at the depths s, 2s, 4s, ... below a depth D derived from x,
+    and at D, where s = max(2 k0 + ord x, 8).  The first lift that
+    verifies is the root: two roots of X^p - x differ by ord x / p + e /
+    (p - 1) < s, so a w in Z[t] with w^p = x that agrees with the root
+    beyond s is that root.  For p = 2, +-w with the one whose first
     nonzero coordinate is positive first.
 
     The depth.  Let g = sum g_i t^i be the defining polynomial, of degree
@@ -389,7 +390,7 @@ def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
     = e (m + 1), a truncation a with ord(a - w) >= D agrees with w modulo
     p^(m+1) in every coordinate (the lattice of ord >= D), so its balanced
     coordinates, in (-p^(m+1)/2, p^(m+1)/2], are those of w.  A ring root
-    outside Z[t] fails the check and is dropped.
+    outside Z[t] fails the check at D and is dropped.
     """
     p = field.p
     if not x:
@@ -413,15 +414,22 @@ def _pth_roots(x: OKElem, field: LocalField) -> list[OKElem]:
     while p ** (m * p) <= bound:
         m += 1
     depth = field.e * (m + 1)
-    moduli = _moduli(field, depth)
+    levels, level = [], max(2 * threshold_k0(field) + x.ord(), 8)
+    while level < depth:
+        levels.append(level)
+        level *= 2
+    levels.append(depth)
     G = IntPoly(field, (-x,) + (0,) * (p - 1) + (1,))
     out = []
     for root in _ring_roots(G, field).roots:
-        if root.precision < depth:
-            root = next(r for r in _descend(G, root) if r.precision >= depth)
-        w = OKElem(field, _balanced(root.truncation.coords, moduli))
-        if w**p == x:
-            out.append(w)
+        deeper = _descend(G, root)
+        for level in levels:
+            if root.precision < level:
+                root = next(r for r in deeper if r.precision >= level)
+            w = OKElem(field, _balanced(root.truncation.coords, _moduli(field, level)))
+            if w**p == x:
+                out.append(w)
+                break
     if p == 2:
         out.sort(key=lambda w: next(c for c in w.coords if c) < 0)
     return out

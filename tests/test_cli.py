@@ -161,6 +161,17 @@ def test_not_prime_is_precondition(capsys):
     assert "not-prime" in err
 
 
+def test_large_primes_exit_on_a_resource_limit(capsys):
+    # 2^61 - 1 is proven prime at once and stops at the residue cap; past
+    # 3.3e24 the prime test proves nothing, an honest exit 3
+    code, _, err = invoke(capsys, "check-power", "--p", str(2**61 - 1), "--value", "9")
+    assert code == 3
+    assert "k-too-large-for-memory" in err
+    code, _, err = invoke(capsys, "classes", "--p", str(2**89 - 1), "--json")
+    assert code == 3
+    assert "primality-unproven" in err
+
+
 # --- payloads
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from padicpowers import (
     NotEisenstein,
     NotIrreducibleModP,
     NotPrime,
+    PrimalityUnproven,
     UnsupportedField,
     congruent,
     iter_residues,
@@ -27,7 +29,7 @@ from padicpowers import (
     reduce_mod,
     residues,
 )
-from padicpowers.localfield import _prime_factors, _solve, _vp
+from padicpowers.localfield import _prime_factors, _solve, _strong_probable_prime, _vp
 
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
 coord_pairs = st.tuples(small_ints, small_ints)
@@ -122,8 +124,8 @@ def test_make_field_irreducibility_matches_factor_search():
 
 
 def test_prime_factors_by_trial_division():
-    # the 6k +- 1 stepping against division by every d, and the prime test
-    # of make_field that reads it
+    # the 6k +- 1 stepping against division by every d, and make_field's
+    # prime test against it
     for n in range(1, 3000):
         naive = [d for d in range(2, n + 1) if n % d == 0 and all(d % q for q in range(2, d))]
         assert _prime_factors(n) == naive, n
@@ -133,6 +135,26 @@ def test_prime_factors_by_trial_division():
         else:
             with pytest.raises(NotPrime):
                 make_field(n, BASE)
+
+
+def test_prime_test_is_strong_to_thirteen_bases():
+    # Miller-Rabin to the bases 2, ..., 41 agrees with trial division below
+    # 10^4, accepts 2^61 - 1 at once, and rejects a Carmichael number and
+    # the least strong pseudoprimes to the first 4 and the first 9 prime
+    # bases; past 3.3e24, where it proves no primality, a p that it does
+    # not prove composite raises PrimalityUnproven, also the least strong
+    # pseudoprime to all 13 bases
+    for n in range(2, 10**4):
+        assert _strong_probable_prime(n) == (_prime_factors(n) == [n]), n
+    start = time.perf_counter()
+    assert make_field(2**61 - 1, BASE).p == 2**61 - 1
+    assert time.perf_counter() - start < 0.1
+    for n in (561, 3_215_031_751, 3_825_123_056_546_413_051, 2**89 + 1):
+        with pytest.raises(NotPrime):
+            make_field(n, BASE)
+    for n in (2**89 - 1, 3_317_044_064_679_887_385_961_981):
+        with pytest.raises(PrimalityUnproven):
+            make_field(n, BASE)
 
 
 def test_solve_singular_system():

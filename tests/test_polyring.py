@@ -880,11 +880,22 @@ def test_wide_decomposition_runs_at_working_precision(Q3, E2, exact_calls, monke
         assert res_ord() == resultant(dec.factors[0][0], dec.factors[0][0].derivative()).ord()
 
 
-def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_calls):
+def test_working_precision_matches_exact(
+    Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_calls, monkeypatch
+):
     # on wide F of 600 to 3,000 bits the decomposition, factors and c, is the
     # exact one, and a square-free F's res_ord is ord Res(G, G'), whether F
-    # is certified at the first precision p^N >= 2^64, at a later one, or
-    # at none, when the exact decomposition takes F itself
+    # is certified by a copy, at the first precision p^N >= 2^64 or at a
+    # later one, or past every copy by Res(F, F') taken exactly; only F with
+    # a repeated factor reaches the exact decomposition
+    exact_resultant = polyring.resultant
+    resultant_firsts = []
+
+    def recorded(F, G):
+        resultant_firsts.append(F)
+        return exact_resultant(F, G)
+
+    monkeypatch.setattr(polyring, "resultant", recorded)
     rng = random.Random(20261019)
     for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3):
         p, e = field.p, field.e
@@ -900,18 +911,18 @@ def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_
         a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
         close = q ** _least_power_past(p, 80)
         cases = [
-            ("square-free", wide(1, 900), True),
-            ("square-free", wide(3, 700), True),
-            ("square-free", wide(2, 2900, top=3), True),
-            ("G1^2 G2", wide(1, 300, top=2) ** 2 * wide(2, 300), False),
+            ("square-free", wide(1, 900), "copy"),
+            ("square-free", wide(3, 700), "copy"),
+            ("square-free", wide(2, 2900, top=3), "copy"),
+            ("G1^2 G2", wide(1, 300, top=2) ** 2 * wide(2, 300), "yun"),
             # two roots p^k apart, p^k >= 2^80: ord Res(F, F') >= 2 e k exceeds
             # e N at the first precision, the only one under the cap
-            ("ord past the cap", P(field, -a, 1) * P(field, -a - close, 1) * wide(2, 700), False),
+            ("ord past the cap", P(field, -a, 1) * P(field, -a - close, 1) * wide(2, 700), "exact"),
             # the degree drops at the first precision, and a 1,100-bit F
             # goes on to p^N >= 2^128
-            ("lc in p^N", wide(3, 700, top=pN), False),
-            ("lc in p^N", wide(3, 1100, top=pN * 3), True),
-            ("F in p^N", wide(3, 700) * pN, False),
+            ("lc in p^N", wide(3, 700, top=pN), "exact"),
+            ("lc in p^N", wide(3, 1100, top=pN * 3), "copy"),
+            ("F in p^N", wide(3, 700) * pN, "exact"),
         ]
         member = make_ck_not_power(field, e * p // (p - 1) + 1)
         radius = stability_radius(member, field)
@@ -919,12 +930,14 @@ def test_working_precision_matches_exact(Q2, Q3, Q5, E2, U2, E2_cube, E3, exact_
         if radius < e * _least_power_past(p, 2900):
             shift = field.uniformizer() ** max(radius + 1, e * _least_power_past(p, 600))
             delta = IntPoly(field, [shift * rng.randint(-3, 3) for _ in member.coeffs])
-            cases.append(("criterion 9", member + delta, True))
-        for case, F, certified in cases:
+            cases.append(("criterion 9", member + delta, "copy"))
+        for case, F, path in cases:
             assert 600 <= F.height.bit_length() <= 3000, (case, field)
             exact_calls.clear()
+            resultant_firsts.clear()
             dec, res_ord = polyring._squarefree_decompose(F)
-            assert (F not in exact_calls) == certified, (case, field)
+            taken = "yun" if F in exact_calls else "exact" if F in resultant_firsts else "copy"
+            assert taken == path, (case, field)
             exact_dec, exact_res_ord = polyring._exact_decompose(F)
             assert dec == exact_dec, (case, field)
             assert (res_ord is None) == (exact_res_ord is None), (case, field)

@@ -25,6 +25,7 @@ from padicpowers import (
     threshold_k0,
 )
 from padicpowers import polyring
+from padicpowers import roots as roots_module
 from padicpowers.roots import _analyse, _children, _descend
 
 
@@ -328,3 +329,36 @@ def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls, monkeyp
         ords = [factor.res_ord for factor, _ in factors]
         assert analysis_calls == {"squarefree_decompose": 1, "resultant": k}, str(H)
         assert ords == [resultant(G, G.derivative()).ord() for G in (f.poly for f, _ in factors)]
+
+
+def test_pth_roots_stop_at_the_first_verified_lift(E2, U2, E3, E2_cube, monkeypatch):
+    # each ring root of X^p - x in Z[t] gives its w once, +-w for p = 2;
+    # there both roots are in Z[t] and, with small coordinates, verify by
+    # the second depth of the doubling schedule, 2 s for s = max(2 k0 +
+    # ord x, 8), while the derived depth of these x is 72 to 75 over
+    # Q_2(2^(1/3)); over Q_3(sqrt -3) a root zeta w outside Z[t] is
+    # dropped at the derived depth
+    deepest = []
+    descend = roots_module._descend
+
+    def recorded(G, root):
+        for r in descend(G, root):
+            deepest.append(r.precision)
+            yield r
+
+    monkeypatch.setattr(roots_module, "_descend", recorded)
+    rng = random.Random(20261019)
+    for field in (E2, U2, E3, E2_cube):
+        p = field.p
+        for _ in range(10):
+            w = field.element([rng.randint(-6, 6) for _ in range(field.degree)])
+            if not w:
+                continue
+            x = w**p
+            deepest.clear()
+            found = roots_module._pth_roots(x, field)
+            assert w in found and len(set(found)) == len(found) and all(r**p == x for r in found)
+            if p == 2:
+                assert found == sorted({w, -w}, key=lambda r: next(c for c in r.coords if c) < 0)
+                start = max(2 * threshold_k0(field) + x.ord(), 8)
+                assert max(deepest, default=0) <= 2 * start, (field, w)

@@ -35,7 +35,6 @@ it from the root of a source checkout; it imports the package from src/.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import random
@@ -77,8 +76,8 @@ def canon(x):
         return ["frac", hex(x.numerator), hex(x.denominator)]
     if isinstance(x, float):
         return repr(x)
-    if dataclasses.is_dataclass(x):
-        return [type(x).__name__] + [canon(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, tuple) and hasattr(x, "_fields"):  # a report record
+        return [type(x).__name__] + [canon(y) for y in x]
     if isinstance(x, (set, frozenset)):
         return sorted((canon(y) for y in x), key=json.dumps)
     if isinstance(x, (list, tuple)):
