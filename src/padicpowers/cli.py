@@ -25,7 +25,13 @@ from .decide import (
     decide_CZ,
     witness_bounds,
 )
-from .errors import KTooLargeForMemory, PadicError, PrimalityUnproven, ScanBudgetExceeded
+from .errors import (
+    KTooLargeForMemory,
+    LiftSearchBudgetExceeded,
+    PadicError,
+    PrimalityUnproven,
+    ScanBudgetExceeded,
+)
 from .localfield import BASE, EISENSTEIN, UNRAMIFIED, LocalField, OKElem, make_field
 from .polyring import IntPoly
 from .powerclasses import class_of, enumerate_classes, is_pth_power, threshold_k0
@@ -455,7 +461,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error (usage): {exc}\n")
         return 64
-    except (ScanBudgetExceeded, KTooLargeForMemory, PrimalityUnproven) as exc:
+    except (
+        ScanBudgetExceeded,
+        KTooLargeForMemory,
+        LiftSearchBudgetExceeded,
+        PrimalityUnproven,
+    ) as exc:
         _report_error(exc, as_json)
         return 3
     except PadicError as exc:

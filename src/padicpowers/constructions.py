@@ -18,6 +18,7 @@ from .errors import (
     DegreeTooSmall,
     KTooLargeForMemory,
     LiftObstruction,
+    LiftSearchBudgetExceeded,
     MTooSmall,
     PreconditionNotMember,
     PreconditionRootInField,
@@ -120,7 +121,9 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
     G = sum c_j (x)_j, where point j constrains c_j * j! and is solvable
     exactly when the chosen root matches the partial sum to ord at least
     min(ord(j!), n).  Roots are tried best-match first (for p = 2 the branch
-    that is 1 mod 4 breaks ties), and exhausted branches backtrack.
+    that is 1 mod 4 breaks ties), and exhausted branches backtrack.  A search
+    past _NODE_CAP nodes raises LiftSearchBudgetExceeded, a resource limit;
+    LiftObstruction itself means that every root branch fails.
     """
     if F.field != field:
         raise ValueError("polynomial belongs to a different field")
@@ -196,7 +199,7 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
         if options[j]:
             nodes += 1
             if nodes > _NODE_CAP:
-                raise LiftObstruction(
+                raise LiftSearchBudgetExceeded(
                     "no polynomial section found within the search budget",
                     point=j,
                     nodes=nodes,

@@ -107,3 +107,10 @@ class ScanBudgetExceeded(PadicError):
 
 class LiftObstruction(PadicError):
     reason = "lift-obstruction"
+
+
+class LiftSearchBudgetExceeded(LiftObstruction):
+    """The search for a polynomial section passed its node cap: a resource
+    limit, not a proof that no section exists."""
+
+    reason = "lift-search-budget-exceeded"

@@ -21,6 +21,10 @@ p^N, so a nonzero copy resultant with ord below e N certifies that F is
 square-free with the same ord, and Yun runs on no copy.  A wide F that no
 copy certifies takes Res(F, F') exactly, and a nonzero value certifies it
 in the same way; only a wide F with a repeated factor reaches Yun.
+Yun's factors are cleared of denominators, and the identity c F = lc prod
+G^m is checked, on coordinate tuples; the one factor of a certified
+square-free F is read from the integral cofactor of lc(F), with no
+fraction-field element.
 
 Evaluation, the inner loop of every scan, runs Horner on coordinates:
 plain integers over the base field, reduced coordinate tuples through
@@ -179,13 +183,7 @@ class IntPoly:
         b = [c.coords for c in o.coeffs]
         if not a or not b:
             return IntPoly(field)
-        mul = field._mul_vec
-        out = [(0,) * field.degree] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if any(x):
-                for j, y in enumerate(b):
-                    out[i + j] = tuple(map(operator.add, out[i + j], mul(x, y)))
-        return IntPoly._of(field, out)
+        return IntPoly._of(field, _convolve(a, b, field._mul_vec))
 
     __rmul__ = __mul__
 
@@ -240,6 +238,17 @@ class IntPoly:
             else:
                 parts.append(f"- {term}" if negate else f"+ {term}")
         return " ".join(parts) if parts else "0"
+
+
+def _convolve(a: list, b: list, mul) -> list:
+    """Product of two nonempty lists of coordinate tuples, low degree
+    first, with coefficients multiplied by mul."""
+    out = [(0,) * len(a[0])] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if any(x):
+            for j, y in enumerate(b):
+                out[i + j] = tuple(map(operator.add, out[i + j], mul(x, y)))
+    return out
 
 
 def reciprocal(F: IntPoly) -> IntPoly:
@@ -328,11 +337,6 @@ class _KElem:
         adj, d = _cofactor(self.num, self.field)
         g = math.gcd(d, self.den)
         return _KElem(self.field, tuple(x * (self.den // g) for x in adj), d // g)
-
-    def to_ok(self) -> OKElem:
-        if self.den != 1:
-            raise ValueError("element is not integral")
-        return OKElem(self.field, self.num)
 
 
 def _kzero(field: LocalField) -> _KElem:
@@ -461,12 +465,15 @@ class SquareFreeDecomposition(NamedTuple):
     """c * F = lc * prod factor_i ^ mult_i, all sides exactly integral.
 
     lc is the leading coefficient of F.  Factors have valuation-ring
-    coefficients, are square-free and pairwise coprime; each is a monic Yun
-    factor cleared by the lcm of its coordinate denominators, so its
-    coordinates have no common divisor and c, the product of those lcms to
-    the multiplicities, is a positive rational integer.  Every
-    decomposition the module returns has had the identity verified by
-    _cleared; the record itself checks nothing.
+    coefficients, are square-free and pairwise coprime, and the coordinates
+    of each have no common divisor; c is a positive rational integer.  A
+    factor is a monic Yun factor cleared by the lcm of its coordinate
+    denominators, with c the product of those lcms to the multiplicities;
+    the one factor of a certified square-free F is F adj / g with c = d /
+    g, for (adj, d) the integral cofactor of lc and g the gcd of d and the
+    coordinates of F adj, which is the same polynomial.  Every
+    decomposition the module returns has had the identity verified on
+    coordinate tuples by _verified; the record itself checks nothing.
     """
 
     lc: OKElem
@@ -481,11 +488,12 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     precision: when its copy modulo p^N, for some p^N of at most an eighth
     of its bits, has a nonzero resultant with its derivative, of ord below
     e N, the resultant congruence certifies that F is square-free, and F's
-    one factor is returned.  Past the last copy, a nonzero Res(F, F') taken
+    one factor is returned, read from the integral cofactor of lc with no
+    fraction-field element.  Past the last copy, a nonzero Res(F, F') taken
     exactly certifies it in the same way.  Otherwise, and for every
     narrower polynomial, Yun runs on F itself.  Either way the identity
-    below is verified.  Raises ZeroPolynomial on the zero input.  Constants
-    decompose with an empty factor list.
+    below is verified exactly on coordinate tuples.  Raises ZeroPolynomial
+    on the zero input.  Constants decompose with an empty factor list.
     """
     return _squarefree_decompose(F)[0]
 
@@ -540,27 +548,39 @@ def _exact_decompose(F: IntPoly):
 
 def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
     """The decomposition of F from its monic Yun factors with their
-    multiplicities: each factor cleared by the lcm of its coordinate
-    denominators, and the identity c F = lc prod G^m verified as (c / g) F
-    = (lc / g) prod G^m, g = gcd(c, *lc.coords)."""
+    multiplicities: each factor cleared by the lcm s of its coordinate
+    denominators, built from the scaled coordinate tuples, and c the product
+    of the s^m, all handed to the identity check _verified."""
     field = F.field
-    lc = F.lc
-    factors: list[tuple[IntPoly, int]] = []
+    factors = []
     c = 1
     for h, mult in parts:
         s = math.lcm(*(coeff.den for coeff in h))
         c *= s**mult
-        factors.append((IntPoly(field, [coeff.scale(s).to_ok() for coeff in h]), mult))
-    result = SquareFreeDecomposition(lc=lc, factors=tuple(factors), c=c)
-    # always-on verification of the defining identity, divided by g so
-    # that a wide F is not multiplied by a wide c
+        G = IntPoly._of(field, [tuple([x * (s // coeff.den) for x in coeff.num]) for coeff in h])
+        factors.append((G, mult))
+    return _verified(F, tuple(factors), c)
+
+
+def _verified(F: IntPoly, factors: tuple, c: int) -> SquareFreeDecomposition:
+    """The decomposition (lc(F), factors, c) of F, after the always-on check
+    of c F = lc prod G^m on coordinate tuples, as (c / g) F = (lc / g) prod
+    G^m with g = gcd(c, *lc.coords), so that a wide F is not multiplied by a
+    wide c.  One factor of multiplicity 1 is its own product, and only
+    further factors are convolved onto it.  lc / g multiplies through
+    LocalField._mul_vec."""
+    mul = F.field._mul_vec
+    lc = F.lc
+    prod = None
+    for G, mult in factors:
+        coords = [coeff.coords for coeff in G.coeffs]
+        for _ in range(mult):
+            prod = coords if prod is None else _convolve(prod, coords, mul)
     g = math.gcd(c, *lc.coords)
-    rhs = IntPoly(field, (OKElem(field, tuple([x // g for x in lc.coords])),))
-    for G, mult in result.factors:
-        rhs = rhs * G**mult
-    if F * (c // g) != rhs:
+    k, cg = tuple([x // g for x in lc.coords]), c // g
+    if [mul(k, x) for x in prod] != [tuple([cg * x for x in coeff.coords]) for coeff in F.coeffs]:
         raise AssertionError("square-free decomposition identity failed")
-    return result
+    return SquareFreeDecomposition(lc=lc, factors=factors, c=c)
 
 
 def _at_working_precision(F: IntPoly, bits: int):
@@ -601,11 +621,18 @@ def _at_working_precision(F: IntPoly, bits: int):
 
 def _square_free(F: IntPoly, res: int):
     """_squarefree_decompose of an F certified square-free with ord
-    Res(F, F') = res: F's one factor G = c F / lc(F), cleared and
-    identity-checked by _cleared, and ord Res(G, G') = res + (2n - 1)
-    ord(c / lc(F)), as Res(kF, kF') = k^(2n - 1) Res(F, F')."""
+    Res(F, F') = res, and no fraction-field element: with (adj, d) the
+    integral cofactor of lc = lc(F), lc adj = d, F's one factor is G = F
+    adj / g and c = d / g, g = gcd(d, every coordinate of F adj), checked
+    by _verified; and ord Res(G, G') = res + (2n - 1) ord(c / lc), as
+    Res(kF, kF') = k^(2n - 1) Res(F, F')."""
     field = F.field
-    result = _cleared(F, [(_kp_monic(_kp_from_int(F)), 1)])
+    mul = field._mul_vec
+    adj, d = _cofactor(F.lc.coords, field)
+    scaled = [mul(coeff.coords, adj) for coeff in F.coeffs]
+    g = math.gcd(d, *[x for v in scaled for x in v])
+    G = IntPoly._of(field, [tuple([x // g for x in v]) for v in scaled])
+    result = _verified(F, ((G, 1),), d // g)
     ord_c = field.e * _vp(result.c, field.p) - F.lc.ord()
     return result, lambda: res + (2 * F.degree - 1) * ord_c
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from padicpowers import IntPoly, make_field, BASE, EISENSTEIN
+from padicpowers import IntPoly, constructions, make_field, BASE, EISENSTEIN
 from padicpowers.cli import MAX_EXPONENT, _parse_poly_expr, run
 
 
@@ -122,6 +122,14 @@ def test_exit_code_resource_cap(capsys):
     assert code == 3
     assert json.loads(out)["error"]["reason"] == "k-too-large-for-memory"
     assert "k-too-large-for-memory" in err
+
+
+def test_exit_code_lift_search_cap(capsys, monkeypatch):
+    # the approximation's search passing its node cap is a resource limit
+    monkeypatch.setattr(constructions, "_NODE_CAP", 0)
+    code, out, _ = invoke(capsys, "approximate", "--p", "2", "--poly", "4x^4+4x^2+9", "--n", "3", "--json")
+    assert code == 3
+    assert json.loads(out)["error"]["reason"] == "lift-search-budget-exceeded"
 
 
 def test_exit_code_usage(capsys):

@@ -7,10 +7,13 @@ from collections import Counter
 
 import pytest
 
+from padicpowers import constructions
 from padicpowers import (
     DegreeTooSmall,
     IntPoly,
     KTooLargeForMemory,
+    LiftObstruction,
+    LiftSearchBudgetExceeded,
     MTooSmall,
     PreconditionNotMember,
     PreconditionRootInField,
@@ -168,6 +171,16 @@ def test_approximate_preconditions(Q2, E2):
         approximate_on_integers(P(Q2, 1), Q2, 0)
     with pytest.raises(KTooLargeForMemory):
         approximate_on_integers(P(Q2, 1), Q2, 13)
+
+
+def test_approximate_node_cap_is_a_resource_limit(Q2, monkeypatch):
+    # a search past its node cap is a resource limit with its own reason,
+    # still caught by callers of LiftObstruction
+    monkeypatch.setattr(constructions, "_NODE_CAP", 0)
+    with pytest.raises(LiftSearchBudgetExceeded) as info:
+        approximate_on_integers(P(Q2, 9, 0, 4, 0, 4), Q2, 3)
+    assert isinstance(info.value, LiftObstruction)
+    assert info.value.reason == "lift-search-budget-exceeded"
 
 
 def test_member_with_root_is_not_stable(Q2):

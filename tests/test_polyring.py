@@ -639,11 +639,6 @@ def test_kelem_matches_qt_reference(Q2, Q3, Q5, E2, U2, E2_cube, E3, which, a, b
     if y:
         _assert_same(y.inverse(), ry.inverse())
         _assert_same(x * y.inverse(), rx * ry.inverse())
-    if x.den == 1:
-        assert x.to_ok() == field.element(x.num)
-    else:
-        with pytest.raises(ValueError):
-            x.to_ok()
 
 
 def test_cofactor_matches_bareiss(E2, U2, E3, E2_w3):
@@ -981,17 +976,29 @@ def _off_by_one(parts, which, coeff, coord):
     return parts[:which] + [(h, mult)] + parts[which + 1 :]
 
 
-def test_cleared_refuses_a_wrong_factor(Q3, E2, U2):
+def _coord_off_by_one(G, coeff, coord):
+    """G with one coordinate of one coefficient off by one."""
+    vecs = [list(c.coords) for c in G.coeffs]
+    vecs[coeff][coord] += 1
+    return IntPoly(G.field, [tuple(v) for v in vecs])
+
+
+def test_cleared_refuses_a_wrong_factor(Q3, E2, U2, E2_cube):
     # the identity check (c / g) F = (lc / g) prod G^m, g = gcd(c, lc),
-    # refuses Yun factors with one coordinate off by one, on narrow input
-    # and on wide input, whose one factor is F / lc(F) as at working
-    # precision; the true factors pass
+    # refuses Yun factors with one coordinate off by one on narrow input,
+    # and on wide input refuses F's one factor, built by _square_free from
+    # the integral cofactor of lc(F), with one coordinate off by one; the
+    # true factors pass.  Q_2(2^(1/3)) takes its cofactors from Bareiss's
+    # elimination, and the Q_3 case with two repeated factors runs the
+    # product branch of the check
     rng = random.Random(20261019)
-    t, u = E2.generator(), U2.generator()
+    t, u, r = E2.generator(), U2.generator(), E2_cube.generator()
     narrow = [
         P(Q3, 3, 2) ** 2 * P(Q3, -5, 0, 9),
+        P(Q3, 3, 2) ** 2 * P(Q3, 1, 0, 1) ** 3,
         P(E2, 1 + t, 2) ** 3 * P(E2, t, 1, 6),
         P(U2, u, 2 + u) * P(U2, 3, 1) ** 2,
+        P(E2_cube, 1 + r, 2 * r) ** 2 * P(E2_cube, r, 1, 3 + r * r),
     ]
     for F in narrow:
         parts = polyring._yun(polyring._kp_monic(polyring._kp_from_int(F)))[0]
@@ -1000,14 +1007,40 @@ def test_cleared_refuses_a_wrong_factor(Q3, E2, U2):
             for coeff in range(len(h)):
                 with pytest.raises(AssertionError, match="identity failed"):
                     polyring._cleared(F, _off_by_one(parts, which, coeff, coeff % F.field.degree))
-    for field, top in ((Q3, 3**40 * 7), (E2, t * 2**41), (U2, 2 * u + 4)):
+    for field, top in ((Q3, 3**40 * 7), (E2, t * 2**41), (U2, 2 * u + 4), (E2_cube, r * r * 2**40 + r)):
         def big():
             return field.element([rng.randint(-(2**1500), 2**1500) for _ in range(field.degree)])
 
         F = IntPoly(field, [big(), big(), big(), top])
-        parts = [(polyring._kp_monic(polyring._kp_from_int(F)), 1)]
-        dec = polyring._cleared(F, parts)
-        assert dec.factors[0][0] == _normalized_factor(F)
+        dec = polyring._square_free(F, 0)[0]
+        assert dec == polyring._exact_decompose(F)[0]
+        G = dec.factors[0][0]
+        assert G == _normalized_factor(F)
         for coeff in range(4):
             with pytest.raises(AssertionError, match="identity failed"):
-                polyring._cleared(F, _off_by_one(parts, 0, coeff, field.degree - 1))
+                polyring._verified(F, ((_coord_off_by_one(G, coeff, field.degree - 1), 1),), dec.c)
+
+
+def test_decomposition_identity_recomputed(Q2, Q3, Q5, E2, U2, E2_cube):
+    # c F = lc prod G^m recomputed with IntPoly products and powers, every
+    # factor primitive (its coordinates have gcd 1) and c > 0, on seeded
+    # narrow F with repeated factors and on wide F, of 1,000 bits and more,
+    # both square-free and with a repeated factor
+    rng = random.Random(20261020)
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube):
+        def poly(deg, bound):
+            coeffs = [field.element([rng.randint(-bound, bound) for _ in range(field.degree)]) for _ in range(deg)]
+            return IntPoly(field, coeffs + [field.element(rng.choice((1, 2, 3, field.p**2 * 5)))])
+
+        cases = [poly(1, 9) ** 2 * poly(2, 9) for _ in range(4)]
+        cases += [poly(1, 9) ** 3 * poly(1, 9) ** 2 * poly(1, 9) for _ in range(2)]
+        cases += [poly(3, 2**1000), poly(4, 2**1000), poly(1, 2**600) ** 2 * poly(1, 9)]
+        for F in cases:
+            dec = squarefree_decompose(F)
+            assert dec.lc == F.lc
+            assert dec.c > 0
+            rhs = IntPoly(field, (dec.lc,))
+            for G, mult in dec.factors:
+                assert math.gcd(*(x for coeff in G.coeffs for x in coeff.coords)) == 1, (str(F), str(G))
+                rhs = rhs * G**mult
+            assert F * dec.c == rhs, str(F)
