@@ -7,15 +7,15 @@ points outside the ring: on pi O_K only when p divides the degree, as the
 direct scan has then covered the units.  One scan of each kind thus covers
 the projective line once.  class_spectrum generalizes the scans to report
 every power class the polynomial attains.
-All three run a certified finite scan over Taylor nodes: a residue class
-a + pi^L O_K carries the coefficients of F(a + pi^L y), and it is pinned
-once every higher coefficient has ord at least the constant term's ord plus
-the congruence threshold M, since F then keeps one ord and one power class
-on the whole class.  The scan splits exactly the classes that are not yet
-pinned, one level at a time.  witness_count is the size p^(f(m + M)) of
-the residue system that certifies a scan whose largest ord is m, summed
-over the scans of a decision, an invariant of F, not the number of nodes
-visited.
+All three run a certified finite scan on roots._walk, the Taylor walk of
+the ring-root search: a residue class a + pi^L O_K carries the coefficients
+of F(a + pi^L y), and it is pinned once every higher coefficient has ord at
+least the constant term's ord plus the congruence threshold M, since F then
+keeps one ord and one power class on the whole class.  The scan splits
+exactly the classes that are not yet pinned.  witness_count is the size
+p^(f(m + M)) of the residue system that certifies a scan whose largest ord
+is m, summed over the scans of a decision, an invariant of F, not the
+number of nodes visited.
 
 Quantitative bounds (the Krasner-constant upper bound, the witness-set
 cardinality exponent and the height-based exponent for integer inputs) are
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     DegreeTooSmall,
@@ -48,7 +48,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import RootApproximation, _analyse, _Analysis, _children, _descend, _start
+from .roots import RootApproximation, _analyse, _Analysis, _descend, _walk
 
 __all__ = [
     "BoundsReport",
@@ -231,34 +231,22 @@ def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
 def _scan(
     F: IntPoly, field: LocalField, M: int, budget: int, collect: bool, pi_ok: bool = False
 ):
-    """Core scan of O_K, or with pi_ok of pi O_K only.  Returns (final_m,
-    m_history, counterexample, classes).
+    """Core scan of O_K, or with pi_ok of pi O_K only, on the Taylor walk
+    roots._walk.  Returns (final_m, m_history, counterexample, classes).
 
-    A node is a residue class a + pi^L O_K together with the coordinate
-    tuples of the coefficients c_k of G(y) = F(a + pi^L y).  When
-    min_{k>=1} ord c_k >= ord c_0 + M, F / c_0 lies in 1 + pi^M O_K on the
-    whole class, so every value there has the ord and the power class of
-    c_0 = F(a) and the node is pinned.  Otherwise the node splits into its
-    p^f children a + pi^L r at level L + 1, built by roots._children, the
-    child routine of the ring-root search.  The scan starts from (0, 0, F),
-    or with pi_ok from (0, 1, F(pi y)) (roots._start), and runs one level
-    at a time, children in residue order, so the visiting order, and with
-    it the whole report, is deterministic.
-    c_0 is tested only at nodes whose point is new: the child r = 0
-    repeats its parent's point.
+    A node is a residue class a + pi^L O_K with the coefficients c_k of
+    F(a + pi^L y).  When min_{k>=1} ord c_k >= ord c_0 + M, F / c_0 lies in
+    1 + pi^M O_K on the whole class, so every value there has the ord and
+    the power class of c_0 = F(a) and the node is pinned; otherwise it is
+    split at margin M.  The walk's order makes the whole report
+    deterministic.  A node's tag is ord c_0 once its point is tested, so
+    the child r = 0, which repeats its parent's point, is not tested again.
     """
     _budget_guard(field, 0, M, budget)
     m = 0
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
-    pi = field.uniformizer()
-    coeffs, shift = _start(F, pi_ok)
-    # (point builder, coefficient coordinates, ord c_0 when the point was tested)
-    nodes: list[tuple[Callable[[], OKElem], list[tuple[int, ...]], Optional[int]]] = [
-        (field.zero, coeffs, None)
-    ]
-    while nodes:
-        children = []
+    for _, nodes, split in _walk(F, M, int(pi_ok)):
         for point, coeffs, v in nodes:
             if v is None:
                 value = OKElem(field, coeffs[0])
@@ -275,12 +263,8 @@ def _scan(
                     history.append(m)
             # pinned when every c_k, k >= 1, lies in the lattice pi^(v + M) O_K
             moduli = _moduli(field, v + M)
-            if all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
-                continue
-            split = _children(point(), coeffs, shift, M, field)
-            children += [(b, c, None if i else v) for i, (b, c) in enumerate(split)]
-        nodes = children
-        shift = shift * pi
+            if not all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
+                split(point, coeffs, v)
     return m, tuple(history), None, classes
 
 

@@ -1,17 +1,18 @@
 """Root existence in the valuation ring and in the full local field, and
 exact p-th roots of ring elements and of polynomials.
 
-The search walks the membership scan's Taylor nodes: a class a + pi^L O_K
-with the coefficients c_k of G(a + pi^L y), from (0, 0, G) one level at a
-time.  By the Newton polygon, the class holds exactly k* roots of G over an
-algebraic closure, k* the largest index at which ord c_k is smallest (its
-Weierstrass degree).  k* = 0 prunes the node.  k* = 1 means one root, in K
-as the class is stable under conjugation, and once ord G(a) > 2 ord G'(a),
-Hensel's lemma gives a root within ord c_0 - ord c_1 + L >= L of a, which
-is that root.  Other nodes split; G is square-free, so the search ends.
+One walk, _walk, serves decide's scan, the root search and the descent of
+a root: a node is a class a + pi^L O_K with the coefficients c_k of
+G(a + pi^L y).  By the Newton polygon, the class holds exactly k* roots of
+G over an algebraic closure, k* the largest index at which ord c_k is
+smallest (its Weierstrass degree).  k* = 0 prunes the node.  k* = 1 means
+one root, in K as the class is stable under conjugation, and once ord G(a)
+> 2 ord G'(a), Hensel's lemma gives a root within ord c_0 - ord c_1 + L >=
+L of a, which is that root.  Other nodes split; G is square-free, so the
+search ends.
 
-A reported root is taken deeper along the same nodes, and the exact p-th
-roots that perfect-power detection tries are the roots of X^p - x.
+The descent takes a reported root deeper, and the exact p-th roots that
+perfect-power detection tries are the roots of X^p - x.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
 
 def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRootReport:
     """The search of roots_in_valuation_ring for a square-free G of degree
-    at least 1; with pi_ok, the roots in pi O_K only, as the search starts
-    at that node (roots._start), and search_depth_used is at least 1.
+    at least 1; with pi_ok, the roots in pi O_K only, as the walk starts
+    at that class, and search_depth_used is at least 1.
 
     Ords are read only as deep as their comparisons need: with low =
     min_{k>=1} ord c_k, found from the top down with the running minimum as
@@ -93,13 +94,8 @@ def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRoot
     precision takes the exact ord c_0."""
     ord_vec = field._ord_vec
     roots: list[RootApproximation] = []
-    pi = field.uniformizer()
-    coeffs, shift = _start(G, pi_ok)
-    level = int(pi_ok)
-    nodes = [(field.zero, coeffs)]
-    while nodes:
-        children = []
-        for point, coeffs in nodes:
+    for level, nodes, split in _walk(G, 1, int(pi_ok)):
+        for point, coeffs, _ in nodes:
             low, k_star = math.inf, 0
             for k in range(len(coeffs) - 1, 0, -1):
                 o = ord_vec(coeffs[k], low)
@@ -114,11 +110,8 @@ def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRoot
             if k_star == 1 and c0 > hensel:
                 roots.append(RootApproximation(point(), ord_vec(coeffs[0]) - low + level, True))
             else:
-                children += _children(point(), coeffs, shift, 1, field)
-        nodes = children
-        shift = shift * pi
-        level += 1
-    return PadicRootReport(exists=bool(roots), roots=tuple(roots), search_depth_used=level - 1)
+                split(point, coeffs, None)
+    return PadicRootReport(exists=bool(roots), roots=tuple(roots), search_depth_used=level)
 
 
 def _descend(G: IntPoly, root: RootApproximation):
@@ -127,58 +120,77 @@ def _descend(G: IntPoly, root: RootApproximation):
     holds no other root, so exactly one child of each node on the way down
     holds a root: the one with ord c_0 >= min_{k>=1} ord c_k."""
     field = G.field
-    pi = field.uniformizer()
-    a, level = root.truncation, root.precision
-    shift = pi**level
-    coeffs = _node(G, a, shift)
-    while True:
-        point, coeffs = next(
-            (b, c)
-            for b, c in _children(a, coeffs, shift, 1, field)
-            if len(c) > 1 and field._ord_vec(c[0], low := _least_ord(field, c[1:])) >= low
-        )
-        a = point()
-        shift = shift * pi
-        level += 1
-        yield RootApproximation(a, level, False)
+    for level, nodes, split in _walk(G, 1, root.precision, root.truncation):
+        node = nodes[0]  # the root's class, at the start
+        if level > root.precision:
+            node = next(
+                (b, c, t)
+                for b, c, t in nodes
+                if len(c) > 1 and field._ord_vec(c[0], low := _least_ord(field, c[1:])) >= low
+            )
+            yield RootApproximation(node[0](), level, False)
+        split(*node)
 
 
-def _start(G: IntPoly, pi_ok: bool) -> tuple[list, OKElem]:
-    """The first Taylor node of a walk over G, as its coefficient
-    coordinates and the shift of its children: O_K, with G's coefficients
-    and shift 1, or with pi_ok the node pi O_K, the r = 0 child of O_K,
-    with the coefficients c_k pi^k of G(pi y) and shift pi."""
+def _walk(G: IntPoly, margin: int, level: int, a: OKElem | None = None):
+    """The level-order walk over G's Taylor nodes that the scan, the root
+    search and the descent run on.  A node is (point, coeffs, tag): a
+    function that builds a, the coefficient coordinates of G(a + pi^L y),
+    and a tag of the caller's.  The walk starts at a + pi^level O_K, a = 0
+    when None: O_K, pi O_K or a descent's class.  It yields (L, nodes,
+    split) for L = level, level + 1, ... until a level splits no node;
+    split(point, coeffs, tag) puts that node's children, by _children at
+    margin, into the next level at once, in residue order.  The child r = 0
+    repeats its parent's point and inherits its tag, the others have tag
+    None."""
     field = G.field
-    if not pi_ok:
-        return [c.coords for c in G.coeffs], field.one()
-    pi = field.uniformizer()
-    return _node(G, field.zero(), pi), pi
+    coeffs, shift = _node(G, level, a)
+    nodes = [(field.zero if a is None else lambda: a, coeffs, None)]
+
+    def split(point, coeffs, tag):
+        children.extend(_children(point(), coeffs, tag, shift, margin, field))
+
+    while True:
+        children = []
+        yield level, nodes, split
+        if not children:
+            return
+        nodes = children
+        shift = shift * field.uniformizer()
+        level += 1
 
 
-def _node(G: IntPoly, a: OKElem, shift: OKElem) -> list:
-    """The coefficient coordinates of G(a + shift y): synthetic divisions
-    by y - a, then c_k shift^k."""
-    mul = G.field._mul_vec
+def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
+    """The start of a walk over G: the coefficient coordinates of G(a +
+    pi^level y), by synthetic divisions by y - a, then c_k pi^(k level),
+    and the shift pi^level.  At level 0 the start is O_K: G's coordinates
+    as they are, and shift 1."""
+    field = G.field
     coeffs = [c.coords for c in G.coeffs]
+    if not level:
+        return coeffs, field.one()
+    mul = field._mul_vec
     d = len(coeffs) - 1
     if a:
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
+    shift = field.uniformizer() ** level
     scale = shift.coords
     for k in range(1, d + 1):
         coeffs[k] = mul(coeffs[k], scale)
         scale = mul(scale, shift.coords)
-    return coeffs
+    return coeffs, shift
 
 
-def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalField) -> list:
-    """The p^f children of the Taylor node (a, L, coeffs), shift = pi^L: for
-    each digit r in residues(field, 1) order, a function that builds the
-    point a + pi^L r, called only where the point is read, and the
-    coefficients of G(a + pi^L (r + pi y)), which are the parent's shifted
-    by r, by repeated synthetic division, with c_k then scaled by pi^k.
-    The first child, r = 0, has the point a and keeps the value c_0.
+def _children(a: OKElem, coeffs: list, tag, shift: OKElem, margin: int, field: LocalField) -> list:
+    """The p^f children of the Taylor node (a, L, coeffs, tag), shift =
+    pi^L, as walk nodes: for each digit r in residues(field, 1) order, a
+    function that builds the point a + pi^L r, called only where the point
+    is read, the coefficients of G(a + pi^L (r + pi y)), which are the
+    parent's shifted by r, by repeated synthetic division, with c_k then
+    scaled by pi^k, and a tag.  The first child, r = 0, has the point a,
+    keeps the value c_0 and inherits the tag; the others have tag None.
 
     As ord pi = 1 and r and the binomials are integral, ord c'_k >= k +
     min_{j>=k} ord c_j >= 1 + min_{j>=1} ord c_j =: b for k >= 1.  The first
@@ -208,7 +220,7 @@ def _children(a: OKElem, coeffs: list, shift: OKElem, margin: int, field: LocalF
                 break
         else:
             c = [mul(x, s) for x, s in zip(c, scales)]
-        out.append((partial(_child_point, a, shift, r), c))
+        out.append((partial(_child_point, a, shift, r), c, None if out else tag))
     return out
 
 

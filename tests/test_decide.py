@@ -601,7 +601,6 @@ def test_high_p_member_splits_no_node(p, monkeypatch):
         raise AssertionError("a node split")
 
     monkeypatch.setattr(roots_module, "_children", refused)
-    monkeypatch.setattr(decide_module, "_children", refused)
     field = make_field(p, BASE)
     F = make_ck_not_power(field, 2)
     report = decide_CK(F, field, budget=10**40)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -14,6 +15,10 @@ from padicpowers import (
     make_ck_not_power,
     NotSquareFree,
     OKElem,
+    PadicError,
+    class_spectrum,
+    decide_CK,
+    decide_CZ,
     has_root_in_field,
     is_pth_power,
     ord,
@@ -212,8 +217,8 @@ def test_children_settle_like_their_expansion(Q2, Q3, Q5, E2, U2, E2_cube, E3):
             G = IntPoly(field, coeffs + [pi ** rng.randint(0, 2)])
             for margin in (1, threshold_k0(field)):
                 node = [c.coords for c in G.coeffs]
-                children = _children(field.zero(), node, field.one(), margin, field)
-                for (point, got), r in zip(children, residues(field, 1)):
+                children = _children(field.zero(), node, None, field.one(), margin, field)
+                for (point, got, _), r in zip(children, residues(field, 1)):
                     assert point() == r
                     full = IntPoly(field, ())
                     for j, c in enumerate(G.coeffs):
@@ -227,6 +232,102 @@ def test_children_settle_like_their_expansion(Q2, Q3, Q5, E2, U2, E2_cube, E3):
                     else:
                         assert got == expected
     assert settled
+
+
+def _split_sequence(fields, monkeypatch):
+    """Every split of every walk, in order, as (margin, point coordinates,
+    level), with the name of each entry point before its splits and the
+    error it raises after them: over seeded polynomials, decide_CK,
+    decide_CZ, class_spectrum, roots_in_valuation_ring and
+    has_root_in_field, then 8 steps of the descent of each reported root."""
+    calls = []
+    children = roots_module._children
+
+    def recorded(a, coeffs, tag, shift, margin, field):
+        calls.append((margin, a.coords, shift.ord()))
+        return children(a, coeffs, tag, shift, margin, field)
+
+    monkeypatch.setattr(roots_module, "_children", recorded)
+    entries = (decide_CK, decide_CZ, class_spectrum, roots_in_valuation_ring, has_root_in_field)
+    rng = random.Random(20261020)
+    for field in fields:
+        pi = field.uniformizer()
+        for _ in range(8):
+            degree = rng.randint(1, 4)
+            coeffs = [rng.randint(-20, 20) * pi ** rng.randint(0, 3) for _ in range(degree)]
+            F = IntPoly(field, coeffs + [pi ** rng.randint(0, 2)])
+            report = None
+            for entry in entries:
+                calls.append(entry.__name__)
+                try:
+                    out = entry(F, field)
+                except PadicError as exc:
+                    calls.append(type(exc).__name__)
+                    continue
+                if entry is roots_in_valuation_ring:
+                    report = out
+            for root in report.roots if report else ():
+                if root.precision < math.inf:
+                    calls.append("descend")
+                    deeper = _descend(F, root)
+                    for _ in range(8):
+                        next(deeper)
+    return calls
+
+
+def test_walks_split_the_same_nodes(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch):
+    # the digest of the outputs cannot see a walk that splits extra nodes
+    # and reaches the same answers: the sequence of splits is pinned here
+    fields = (Q2, Q3, Q5, E2, U2, E2_cube, E3)
+    calls = _split_sequence(fields, monkeypatch)
+    assert len(calls) > 500
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == "14eef275abfc626e4c11406260814a8fa3c1ba9bd5761851c784dfd77f08cac5", digest
+
+    # the walk's contract, driven directly by a caller that splits a few
+    # nodes of each level, each under a tag of its own: only those nodes
+    # are split, levels rise by one from the start, the next level holds
+    # their children in the order of the splits, and each child r = 0
+    # repeats its parent's point and tag while the others have no tag
+    split_coeffs = []
+
+    def counted(a, coeffs, tag, shift, margin, field):
+        split_coeffs.append(coeffs)
+        return _children(a, coeffs, tag, shift, margin, field)
+
+    monkeypatch.setattr(roots_module, "_children", counted)
+    rng = random.Random(20261021)
+    for field in fields:
+        q = field.p**field.f
+        pi = field.uniformizer()
+        for _ in range(4):
+            coeffs = [rng.randint(-20, 20) * pi ** rng.randint(0, 3) for _ in range(4)]
+            F = IntPoly(field, coeffs + [1])
+            start = rng.randint(0, 2)
+            a = field.element(rng.randint(-9, 9)) if start == 2 else None
+            margin = rng.choice((1, threshold_k0(field)))
+            parents = None
+            for level, nodes, split in roots_module._walk(F, margin, start, a):
+                if parents is None:
+                    assert level == start and len(nodes) == 1 and nodes[0][2] is None
+                    assert nodes[0][0]() == (field.zero() if a is None else a)
+                else:
+                    assert level == previous + 1
+                    assert len(nodes) == q * len(parents)
+                    for i, (point, _, tag) in enumerate(parents):
+                        block = nodes[q * i : q * (i + 1)]
+                        assert block[0][0]() == point() and block[0][2] == tag
+                        assert all(node[2] is None for node in block[1:])
+                split_coeffs.clear()
+                parents = []
+                for j, (point, coeffs, _) in enumerate(nodes):
+                    if level < start + 4 and len(coeffs) > 1 and rng.random() < 0.4:
+                        split(point, coeffs, (level, j))
+                        parents.append((point, coeffs, (level, j)))
+                assert len(split_coeffs) == len(parents)
+                assert all(c is node[1] for c, node in zip(split_coeffs, parents))
+                previous = level
+            assert not parents
 
 
 def test_descents_stay_on_their_roots(Q2, Q3, Q5, E2, U2, E2_cube, E3):
