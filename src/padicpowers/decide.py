@@ -189,17 +189,22 @@ def _scan_bounds(analysis: _Analysis, M: int) -> BoundsReport:
     at 0 to absorb non-integral roots.  The factors' leading coefficients
     cancel against lambda = lc(F) / prod lc(G)^mult exactly.  cardA_log_p
     is the log-size of the deepest witness system the scan can reach.
+    kras_upper is the radical's Krasner bound: a single factor is its own
+    radical, and its bound is computed once.
     """
     bound = Fraction(analysis.F.lc.ord())
+    kras_upper = None
     for factor, mult in analysis.factors:
         G = factor.poly
         if G.degree == 1:
             contribution = Fraction(G.constant.ord() - G.lc.ord())
         else:
-            contribution = G.degree * max(_krasner(G, factor.res_ord), Fraction(0))
+            kras_upper = _krasner(G, factor.res_ord)
+            contribution = G.degree * max(kras_upper, Fraction(0))
         bound += mult * contribution
-    rad = analysis.radical
-    kras_upper = _krasner(rad.poly, rad.res_ord) if rad.poly.degree >= 2 else None
+    if len(analysis.factors) > 1:  # else the radical is the one factor, bounded above
+        rad = analysis.radical
+        kras_upper = _krasner(rad.poly, rad.res_ord)
     card = Fraction(analysis.field.f * (math.floor(bound) + M))
     return BoundsReport(
         kras_upper=kras_upper,
@@ -424,15 +429,16 @@ def _probe_near_root(
     """
     field = P.field
     deeper = _descend(G, root)
+    pi = shift = field.uniformizer()
     for level in count(1):
         if root.precision <= level:
             root = next(deeper)
-        shift = field.uniformizer() ** level
         for u in residues(field, 1)[1:]:
             x = root.truncation + shift * u
             value = P(x)
             if value and not is_pth_power(value, field):
                 return x, class_of(value, field)
+        shift = shift * pi
 
 
 def decide_CK(

@@ -245,10 +245,15 @@ class LocalField:
     """Descriptor of one of the three supported local-field models.
 
     Instances are immutable and hashable; build them through make_field so
-    the kind-specific invariants are checked.
+    the kind-specific invariants are checked.  The constants 1, 0, pi and,
+    on an extension, the generator t are built once, at construction, and
+    one(), zero(), uniformizer() and generator() return them.  A pickled or
+    copied field is rebuilt from (p, kind, defining), constants included.
     """
 
-    __slots__ = ("p", "kind", "defining", "e", "f", "degree", "_hash")
+    __slots__ = (
+        "p", "kind", "defining", "e", "f", "degree", "_hash", "_one", "_zero", "_gen", "_pi"
+    )
 
     def __init__(self, p: int, kind: str, defining: tuple[int, ...]):
         object.__setattr__(self, "p", p)
@@ -259,9 +264,18 @@ class LocalField:
         object.__setattr__(self, "e", n if kind == EISENSTEIN else 1)
         object.__setattr__(self, "f", n if kind == UNRAMIFIED else 1)
         object.__setattr__(self, "_hash", hash((p, kind, defining)))
+        pad = (0,) * (n - 1)
+        object.__setattr__(self, "_one", OKElem(self, (1,) + pad))
+        object.__setattr__(self, "_zero", OKElem(self, (0,) + pad))
+        gen = OKElem(self, (0, 1) + pad[1:]) if kind != BASE else None
+        object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_pi", gen if kind == EISENSTEIN else OKElem(self, (p,) + pad))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LocalField is immutable")
+
+    def __reduce__(self):
+        return LocalField, (self.p, self.kind, self.defining)
 
     def __eq__(self, other) -> bool:
         return (
@@ -300,20 +314,18 @@ class LocalField:
         return OKElem(self, tuple(vec))
 
     def zero(self) -> "OKElem":
-        return self.element(0)
+        return self._zero
 
     def one(self) -> "OKElem":
-        return self.element(1)
+        return self._one
 
     def generator(self) -> "OKElem":
-        if self.kind == BASE:
+        if self._gen is None:
             raise UnsupportedField("the base field has no generator element")
-        return self.element((0, 1))
+        return self._gen
 
     def uniformizer(self) -> "OKElem":
-        if self.kind == EISENSTEIN:
-            return self.generator()
-        return self.element(self.p)
+        return self._pi
 
     # -- internal vector reduction modulo the monic defining polynomial ------
 
@@ -416,6 +428,9 @@ class OKElem:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("OKElem is immutable")
+
+    def __reduce__(self):
+        return OKElem, (self.field, self.coords)
 
     def _coerce(self, other: ElementLike) -> "OKElem":
         if isinstance(other, OKElem):

@@ -82,6 +82,9 @@ class IntPoly:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        return IntPoly, (self.field, self.coeffs)
+
     # -- basic queries --------------------------------------------------------
 
     @property

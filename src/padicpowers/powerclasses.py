@@ -47,8 +47,10 @@ def threshold_k0(field: LocalField) -> int:
     return field.e * field.p // (field.p - 1) + 1
 
 
+@lru_cache(maxsize=256)
 def _moduli(field: LocalField, k: int) -> tuple[int, ...]:
-    """Per-coordinate moduli of the lattice of elements of ord >= k."""
+    """Per-coordinate moduli of the lattice of elements of ord >= k, built
+    once per (field, k): the scan reads them at every node."""
     p = field.p
     if field.kind == EISENSTEIN:
         return tuple(p ** max(0, -((i - k) // field.e)) for i in range(field.e))

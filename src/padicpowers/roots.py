@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Union
 
 from .errors import NotSquareFree, ZeroPolynomial
@@ -123,12 +123,14 @@ def _descend(G: IntPoly, root: RootApproximation):
     for level, nodes, split in _walk(G, 1, root.precision, root.truncation):
         node = nodes[0]  # the root's class, at the start
         if level > root.precision:
-            node = next(
+            point, coeffs, tag = next(
                 (b, c, t)
                 for b, c, t in nodes
                 if len(c) > 1 and field._ord_vec(c[0], low := _least_ord(field, c[1:])) >= low
             )
-            yield RootApproximation(node[0](), level, False)
+            a = point()  # built once, for the truncation and for the split
+            yield RootApproximation(a, level, False)
+            node = (lambda: a, coeffs, tag)
         split(*node)
 
 
@@ -164,7 +166,8 @@ def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
     """The start of a walk over G: the coefficient coordinates of G(a +
     pi^level y), by synthetic divisions by y - a, then c_k pi^(k level),
     and the shift pi^level.  At level 0 the start is O_K: G's coordinates
-    as they are, and shift 1."""
+    as they are, and shift 1; at level 1 the scales pi^k are read from
+    _pi_powers."""
     field = G.field
     coeffs = [c.coords for c in G.coeffs]
     if not level:
@@ -175,12 +178,26 @@ def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
+    if level == 1:
+        coeffs[1:] = map(mul, coeffs[1:], _pi_powers(field, d)[1:])
+        return coeffs, field.uniformizer()
     shift = field.uniformizer() ** level
     scale = shift.coords
     for k in range(1, d + 1):
         coeffs[k] = mul(coeffs[k], scale)
         scale = mul(scale, shift.coords)
     return coeffs, shift
+
+
+@lru_cache(maxsize=64)
+def _pi_powers(field: LocalField, d: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of pi^0, ..., pi^d, which scale the Taylor
+    coefficients c_0, ..., c_d of a child by pi^k."""
+    mul, pi = field._mul_vec, field.uniformizer().coords
+    out = [field.one().coords]
+    for _ in range(d):
+        out.append(mul(out[-1], pi))
+    return tuple(out)
 
 
 def _children(a: OKElem, coeffs: list, tag, shift: OKElem, margin: int, field: LocalField) -> list:
@@ -204,10 +221,7 @@ def _children(a: OKElem, coeffs: list, tag, shift: OKElem, margin: int, field: L
     mul = field._mul_vec
     d = len(coeffs) - 1
     cap = 2 + _least_ord(field, coeffs[1:]) - margin
-    pi = field.uniformizer().coords
-    scales = [field.one().coords]
-    for _ in range(d):
-        scales.append(mul(scales[-1], pi))
+    scales = _pi_powers(field, d)
     out = []
     for r in residues(field, 1):
         c = list(coeffs)

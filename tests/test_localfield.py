@@ -30,6 +30,7 @@ from padicpowers import (
     residues,
 )
 from padicpowers.localfield import _prime_factors, _solve, _strong_probable_prime, _vp
+from padicpowers.powerclasses import _moduli, threshold_k0
 
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
 coord_pairs = st.tuples(small_ints, small_ints)
@@ -52,6 +53,39 @@ def test_eisenstein_shape(E2):
 def test_unramified_shape(U2):
     assert (U2.e, U2.f, U2.degree) == (1, 2, 2)
     assert U2.uniformizer() == U2.element(2)
+
+
+def test_constants_are_built_once(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+        assert field.one() == field.element(1) and field.one() is field.one()
+        assert field.zero() == field.element(0) and field.zero() is field.zero()
+        assert field.uniformizer().ord() == 1
+        assert field.uniformizer() is field.uniformizer()
+        if field.kind == BASE:
+            assert field.uniformizer() == field.element(field.p)
+            with pytest.raises(UnsupportedField):
+                field.generator()
+            continue
+        assert field.generator() == field.element((0, 1))
+        assert field.generator() is field.generator()
+        pi = field.generator() if field.kind == EISENSTEIN else field.element(field.p)
+        assert field.uniformizer() == pi
+
+
+def test_moduli_span_the_lattice_of_each_ord(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+    # coordinate i of the lattice of ord >= k has the least modulus p^j
+    # with ord(p^j t^i) >= k, read here through the field's own valuation
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+        n = field.degree
+        for k in range(3 * threshold_k0(field) + 1):
+            expected = []
+            for i in range(n):
+                j = 0
+                while field._ord_vec(tuple(field.p**j * (i == m) for m in range(n))) < k:
+                    j += 1
+                expected.append(field.p**j)
+            assert _moduli(field, k) == tuple(expected)
+            assert _moduli(field, k) is _moduli(field, k)
 
 
 def test_make_field_rejects_bad_input():

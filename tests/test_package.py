@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -14,6 +16,8 @@ import pytest
 import padicpowers
 from padicpowers import (
     BASE,
+    EISENSTEIN,
+    UNRAMIFIED,
     BoundsReport,
     DecisionReport,
     IntPoly,
@@ -95,9 +99,38 @@ def test_report_records_are_immutable_named_tuples():
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
         # equality and hash go by the fields
-        copy = type(record)(*record)
-        assert copy == record and hash(copy) == hash(record) == hash(tuple(record))
+        rebuilt = type(record)(*record)
+        assert rebuilt == record and hash(rebuilt) == hash(record) == hash(tuple(record))
         changed = record._replace(**{record._fields[-1]: "changed"})
         assert changed != record and changed[:-1] == record[:-1]
     assert repr(report).startswith("DecisionReport(verdict=True, class_tested='C_K', M=3, final_m=2,")
     assert report._replace(class_tested="C_ZK").class_tested == "C_ZK"
+
+
+def test_values_cross_pickle_and_copy():
+    # fields, elements, polynomials and reports are immutable, so a copy or
+    # an unpickled value is rebuilt through its constructor; a field's
+    # constants are rebuilt with it and belong to the new field
+    Q3 = make_field(3, BASE)
+    E2 = make_field(2, EISENSTEIN, (-2, 0, 1))
+    U2 = make_field(2, UNRAMIFIED, (1, 1, 1))
+    report = decide_CK(IntPoly(U2, ((0, 1), 0, 1)), U2)
+    assert report.counterexample is not None
+    values = [
+        Q3,
+        E2,
+        U2,
+        E2.element((3, -5)),
+        IntPoly(E2, (E2.generator(), 0, 7)),
+        report,
+    ]
+    for value in values:
+        for clone in (
+            pickle.loads(pickle.dumps(value)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+    field = pickle.loads(pickle.dumps(E2))
+    assert field.one().field is field and field.uniformizer() == E2.uniformizer()
