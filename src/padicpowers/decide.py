@@ -224,8 +224,14 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be a positive integer, got {budget}")
 
 
+def _witness_size(field: LocalField, m: int, M: int) -> int:
+    """p^(f(m + M)), the size of the residue system modulo pi^(m + M) that
+    certifies a scan whose largest ord is m."""
+    return field.p ** (field.f * (m + M))
+
+
 def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
-    if field.p ** (field.f * (m + M)) > budget:
+    if _witness_size(field, m, M) > budget:
         raise ScanBudgetExceeded(
             f"witness system of size p^{field.f * (m + M)} exceeds the budget {budget}",
             m=m,
@@ -277,100 +283,67 @@ def _scan(
 # decision procedures
 
 
-def _nonvanishing_point(F: IntPoly, field: LocalField) -> OKElem:
-    n = 0
-    while True:
-        a = field.element(n)
-        if F(a):
-            return a
-        n += 1
-
-
-def _unscanned_report(class_tested: str, M: int, counterexample=None) -> DecisionReport:
-    """A verdict reached without a scan: membership for the zero polynomial
-    (0 = 0^p, in both classes), or the counterexample near a field root."""
-    return DecisionReport(
-        verdict=counterexample is None,
-        class_tested=class_tested,
-        M=M,
-        final_m=0,
-        witness_count=0,
-        counterexample=counterexample,
-        m_history=(),
-        bounds=None,
-    )
-
-
-def _constant_report(
-    reduced: OKElem,
-    field: LocalField,
-    class_tested: str,
-    M: int,
-    probe_poly: IntPoly,
+def _report(
+    class_tested: str, M: int, counterexample, final_m=0, witness_count=0, m_history=(), bounds=None
 ) -> DecisionReport:
-    """Resolve a scan whose reduced polynomial is a nonzero constant.  The
-    counterexample, when needed, is probed on probe_poly (the caller's
-    original polynomial) at the first integer point where it does not
-    vanish; the value class there equals the constant's class."""
-    verdict = is_pth_power(reduced, field)
-    v = reduced.ord()
-    counterexample = None
-    if not verdict:
-        a = _nonvanishing_point(probe_poly, field)
-        counterexample = (a, class_of(probe_poly(a), field))
-    bounds = BoundsReport(
-        kras_upper=None,
-        max_ord_bound=Fraction(v),
-        cardA_log_p=Fraction(field.f * (v + M)),
-        pejkovic_log_p=None,
-    )
+    """The report of a decision: the verdict is membership exactly when no
+    counterexample was found.  A verdict reached without a scan, membership
+    of the zero polynomial (0 = 0^p, in both classes) or a counterexample
+    near a field root, keeps the defaults: no scan, so no witnesses and no
+    bounds."""
+    verdict = counterexample is None
     return DecisionReport(
-        verdict=verdict,
-        class_tested=class_tested,
-        M=M,
-        final_m=v,
-        witness_count=field.p ** (field.f * (v + M)),
-        counterexample=counterexample,
-        m_history=(v,),
-        bounds=bounds,
+        verdict, class_tested, M, final_m, witness_count, counterexample, m_history, bounds
     )
+
+
+def _constant_report(analysis: _Analysis, M: int, class_tested: str) -> DecisionReport:
+    """_scan_report of an F whose power-free part F_* is a nonzero constant
+    c of ord v, which needs no scan.  The counterexample, when needed, is
+    probed on F, the caller's polynomial, at the first integer point where
+    it does not vanish; the value class there equals c's class.  F_* has no
+    factors, so its scan bounds are those of c: no Krasner bound, max ord v
+    and log-size f(v + M)."""
+    power_free, F, field = analysis.power_free, analysis.F, analysis.field
+    c = power_free.F.constant
+    v = c.ord()
+    counterexample = None
+    if not is_pth_power(c, field):
+        a = next(a for a in map(field.element, count()) if F(a))
+        counterexample = (a, class_of(F(a), field))
+    bounds = _scan_bounds(power_free, M)
+    return _report(class_tested, M, counterexample, v, _witness_size(field, v, M), (v,), bounds)
 
 
 def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
-    """Scan of F_*, F's power-free part, of degree d >= 1 without ring
-    roots, and for C_K, once F_* passes, of its reciprocal.  When p | d,
-    x^d is a p-th power at a unit x, so the reciprocal's class there is
-    F_*'s class at 1/x, which the direct scan has covered: the reciprocal
-    is scanned on pi O_K only.  Otherwise it is scanned on all of O_K, so
-    that a failure at a unit is still named.  A direct scan that fails
-    where F = 0, at a root of a stripped H^p, is probed on F from there.
-    The bounds come after the scans, so that a scan out of budget computes
-    no resultant."""
+    """Scan of F_*, F's power-free part, without ring roots, and for C_K,
+    once F_* passes, of its reciprocal; a constant F_* needs no scan
+    (_constant_report).  When p divides d = deg F_*, x^d is a p-th power
+    at a unit x, so the reciprocal's class there is F_*'s class at 1/x,
+    which the direct scan has covered: the reciprocal is scanned on pi O_K
+    only.  Otherwise it is scanned on all of O_K, so that a failure at a
+    unit is still named.  A direct scan that fails where F = 0, at a root
+    of a stripped H^p, is probed on F from there.  The bounds come after
+    the scans, so that a scan out of budget computes no resultant."""
     power_free, field = analysis.power_free, analysis.field
     F = power_free.F
+    if F.degree == 0:
+        return _constant_report(analysis, M, class_tested)
     final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
     if counterexample and power_free is not analysis and not analysis.F(counterexample[0]):
         a = counterexample[0]
         H = next(factor.poly for factor, _ in analysis.factors if not factor.poly(a))
         counterexample = _probe_near_root(analysis.F, H, RootApproximation(a, math.inf, True))
-    witness_count = field.p ** (field.f * (final_m + M))
+    witness_count = _witness_size(field, final_m, M)
     if class_tested == "C_K" and counterexample is None:
         rev_m, rev_history, counterexample, _ = _scan(
             reciprocal(F), field, M, budget, collect=False, pi_ok=F.degree % field.p == 0
         )
         final_m = max(final_m, rev_m)
-        witness_count += field.p ** (field.f * (rev_m + M))
+        witness_count += _witness_size(field, rev_m, M)
         history = tuple(sorted(set(history) | set(rev_history)))
-    return DecisionReport(
-        verdict=counterexample is None,
-        class_tested=class_tested,
-        M=M,
-        final_m=final_m,
-        witness_count=witness_count,
-        counterexample=counterexample,
-        m_history=history,
-        bounds=_scan_bounds(power_free, M),
-    )
+    bounds = _scan_bounds(power_free, M)
+    return _report(class_tested, M, counterexample, final_m, witness_count, history, bounds)
 
 
 def decide_CZ(
@@ -398,15 +371,13 @@ def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
     F, field = analysis.F, analysis.field
     M = threshold_k0(field)
     if F.is_zero:
-        return _unscanned_report("C_ZK", M)
+        return _report("C_ZK", M, None)
     if any(mult >= field.p for _, mult in analysis.factors):
         raise PreconditionNotPowerFree(
             "apply reduce_power_free first: a factor has multiplicity >= p"
         )
     if any(factor.ring.exists for factor, _ in analysis.factors):
         raise PreconditionRootInRing("polynomial has a root in the valuation ring")
-    if F.degree == 0:
-        return _constant_report(F.constant, field, "C_ZK", M, F)
     return _scan_report(analysis, M, budget, "C_ZK")
 
 
@@ -466,11 +437,9 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
     F, field = analysis.F, analysis.field
     M = threshold_k0(field)
     if F.is_zero:
-        return _unscanned_report("C_K", M)
+        return _report("C_K", M, None)
     power_free = analysis.power_free
     reduced = power_free.F
-    if reduced.degree == 0:
-        return _constant_report(reduced.constant, field, "C_K", M, F)
     for factor, _ in power_free.factors:
         if factor.ring.exists:
             counterexample = _probe_near_root(F, factor.poly, factor.ring.roots[0])
@@ -480,7 +449,7 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
             )
         else:
             continue
-        return _unscanned_report("C_K", M, counterexample)
+        return _report("C_K", M, counterexample)
     # no root in the field: in particular none in the ring, for the
     # reduced polynomial and for its reciprocal, as the scans require
     return _scan_report(analysis, M, budget, "C_K")

@@ -502,8 +502,10 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
 
 
 def _squarefree_decompose(F: IntPoly):
-    """squarefree_decompose(F), and for a square-free F of degree n >= 1 a
-    function giving ord Res(G, G') of its factor G = c a, a = F / lc(F).
+    """squarefree_decompose(F), and ord Res(G, G') of the factor G = c a, a
+    = F / lc(F), of a square-free F of degree n >= 1; None in its place
+    when F is constant or has a repeated factor.  The ord is often 0, so
+    callers test it against None.
 
     A wide F, of height at least 2^512, is first tried at working precision
     (_at_working_precision); one that no copy certifies takes Res(F, F')
@@ -540,13 +542,9 @@ def _exact_decompose(F: IntPoly):
     result = _cleared(F, parts)
     if len(parts) > 1 or parts[0][1] > 1:
         return result, None
-
-    def res_ord() -> int:
-        p, e, n = field.p, field.e, F.degree
-        ords = sum(d * (field._ord_vec(r.num) - e * _vp(r.den, p)) for d, r in steps)
-        return e * ((2 * n - 1) * _vp(result.c, p) + n * _vp(n, p)) + ords
-
-    return result, res_ord
+    p, e, n = field.p, field.e, F.degree
+    ords = sum(d * (field._ord_vec(r.num) - e * _vp(r.den, p)) for d, r in steps)
+    return result, e * ((2 * n - 1) * _vp(result.c, p) + n * _vp(n, p)) + ords
 
 
 def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
@@ -637,7 +635,7 @@ def _square_free(F: IntPoly, res: int):
     G = IntPoly._of(field, [tuple([x // g for x in v]) for v in scaled])
     result = _verified(F, ((G, 1),), d // g)
     ord_c = field.e * _vp(result.c, field.p) - F.lc.ord()
-    return result, lambda: res + (2 * F.degree - 1) * ord_c
+    return result, res + (2 * F.degree - 1) * ord_c
 
 
 def _power_free_part(F: IntPoly, dec: SquareFreeDecomposition) -> IntPoly:

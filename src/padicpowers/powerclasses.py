@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ArtinCountViolation, ZeroArgument
-from .localfield import EISENSTEIN, LocalField, OKElem, _power, residues
+from .localfield import EISENSTEIN, LocalField, OKElem, _power, iter_residues
 
 __all__ = [
     "PowerClassId",
@@ -92,7 +92,7 @@ def _unit_class_reps(
     p, k0 = field.p, threshold_k0(field)
     mul, one = field._mul_vec, field.one().coords
     moduli = _moduli(field, k0)
-    units = [c.coords for c in residues(field, k0) if c.is_unit()]
+    units = [c.coords for c in iter_residues(field, k0) if c.is_unit()]
     powers = list({_key(q, moduli): q for q in (_power(c, p, mul, one) for c in units)}.values())
     reps: list[OKElem] = []
     index: dict[tuple[int, ...], int] = {}

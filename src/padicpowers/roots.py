@@ -256,20 +256,19 @@ def _child_point(a: OKElem, shift: OKElem, r: OKElem) -> OKElem:
 class _SquareFree:
     """A square-free factor G of degree >= 1 with ord Res(G, G') and the
     ring-root reports of G and of its reciprocal, each found on first use.
-    _res_ord takes a resultant, unless the analysis of a square-free F put
-    in its place the one its decomposition gives: from Yun's remainder
-    sequence, or for a wide F from the resultant of its copy modulo p^N."""
+    res_ord is the value given, as the decomposition of a square-free F
+    gives it (from Yun's remainder sequence, or for a wide F from the
+    resultant of its copy modulo p^N), or else takes one resultant."""
 
-    def __init__(self, poly: IntPoly, field: LocalField):
+    def __init__(self, poly: IntPoly, field: LocalField, res_ord: int | None = None):
         self.poly = poly
         self.field = field
-
-    def _res_ord(self) -> int:
-        return resultant(self.poly, self.poly.derivative()).ord()
+        if res_ord is not None:
+            self.res_ord = res_ord
 
     @cached_property
     def res_ord(self) -> int:
-        return self._res_ord()
+        return resultant(self.poly, self.poly.derivative()).ord()
 
     @property
     def rev_res_ord(self) -> int:
@@ -300,12 +299,15 @@ class _SquareFree:
 class _Analysis:
     """The analysis record of F, shared by every entry point that analyses
     F: its square-free decomposition, each factor's _SquareFree record and
-    multiplicity, and the radical, each found on first use.  The record of
-    the power-free part shares F's factor records."""
+    multiplicity, and the radical, each found on first use.  factors, when
+    given, are F's factor records: the record of the power-free part is
+    built with F's."""
 
-    def __init__(self, F: IntPoly, field: LocalField):
+    def __init__(self, F: IntPoly, field: LocalField, factors=None):
         self.F = F
         self.field = field
+        if factors is not None:
+            self.factors = factors
 
     @cached_property
     def _decomposed(self):
@@ -317,11 +319,9 @@ class _Analysis:
 
     @cached_property
     def factors(self) -> tuple[tuple[_SquareFree, int], ...]:
+        """A square-free F's one factor takes ord Res from the decomposition."""
         dec, res_ord = self._decomposed
-        factors = tuple((_SquareFree(G, self.field), mult) for G, mult in dec.factors)
-        if res_ord:  # F is square-free: its decomposition gives ord Res
-            factors[0][0]._res_ord = res_ord
-        return factors
+        return tuple((_SquareFree(G, self.field, res_ord), mult) for G, mult in dec.factors)
 
     @cached_property
     def radical(self) -> _SquareFree:
@@ -339,10 +339,9 @@ class _Analysis:
         p = self.field.p
         if all(mult < p for _, mult in self.factors):
             return self
-        part = _Analysis(_power_free_part(self.F, self.decomposition), self.field)
         # F's factor records, with multiplicities mod p: no second decomposition
-        part.factors = tuple((factor, mult % p) for factor, mult in self.factors if mult % p)
-        return part
+        factors = tuple((factor, mult % p) for factor, mult in self.factors if mult % p)
+        return _Analysis(_power_free_part(self.F, self.decomposition), self.field, factors)
 
     @property
     def has_field_root(self) -> bool:

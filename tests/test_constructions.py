@@ -160,6 +160,18 @@ def test_approximate_square_free_member(Q2):
             assert (F(a).coords[0] - G(a).coords[0] ** 2) % 4 == 0
 
 
+def test_approximate_search_backtracks(Q2):
+    # F = (x^2 + 5x + 3)^2 + 32 is a C_K member over Q_2; at n = 4 the
+    # search backtracks ten times before it finds G, which its order of
+    # candidates fixes
+    F = P(Q2, 41, 30, 31, 10, 1)
+    assert decide_CK(F, Q2).verdict
+    G = approximate_on_integers(F, Q2, 4)
+    assert G == P(Q2, 5, -5, -1, 2)
+    for a in range(16):
+        assert (F(a).coords[0] - G(a).coords[0] ** 2) % 2**4 == 0
+
+
 def test_approximate_preconditions(Q2, E2):
     with pytest.raises(PreconditionNotMember):
         approximate_on_integers(P(Q2, 1, 2), Q2, 2)

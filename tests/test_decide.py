@@ -14,6 +14,7 @@ from padicpowers import roots as roots_module
 from padicpowers import (
     BASE,
     DEFAULT_BUDGET,
+    BoundsReport,
     DegreeTooSmall,
     IntPoly,
     NotSquareFree,
@@ -337,6 +338,36 @@ def test_scan_bounds_hold_on_fixtures(Q2, Q3):
         assert len(report.m_history) <= report.bounds.max_ord_bound + 1
         logp = Fraction(field.f) * (report.final_m + report.M)
         assert logp <= report.bounds.cardA_log_p
+
+
+def test_ck_constant_power_free_part(Q2, Q3):
+    # 3x^3 over Q_3 and 2x^2 over Q_2 strip x^p to the constants 3 and 2,
+    # which are no p-th powers: the counterexample is F's first integer
+    # point where F does not vanish, 1, and the bounds are the constant's,
+    # no Krasner bound, max ord its ord 1 and log-size f(1 + M)
+    for field, F, label, count, card in (
+        (Q3, P(Q3, 0, 0, 0, 3), "3", 27, 3),
+        (Q2, P(Q2, 0, 0, 2), "2", 16, 4),
+    ):
+        report = decide_CK(F, field)
+        assert not report.verdict
+        point, cls = report.counterexample
+        assert (point, cls.label()) == (field.element(1), label)
+        assert (report.final_m, report.m_history, report.witness_count) == (1, (1,), count)
+        assert report.bounds == BoundsReport(None, 1, card, None)
+
+
+def test_scan_bounds_of_two_factors(Q2):
+    # (x^2 + x + 1)(x^2 + 3) over Q_2 has two square-free factors of degree
+    # 2: kras_upper is the radical's Krasner bound, here F's own, and the
+    # bound on max ord holds above the largest ord F takes on the ring
+    F = P(Q2, 1, 1, 1) * P(Q2, 3, 0, 1)
+    depth = 4 + threshold_k0(Q2) + 1
+    for decide in (decide_CZ, decide_CK):
+        bounds = decide(F, Q2).bounds
+        assert bounds.kras_upper == krasner_upper_bound(F, Q2) == 1
+        assert bounds.max_ord_bound == 4
+        assert oracle_max_ord(F, Q2, depth) == 2
 
 
 # --- differential against the oracle

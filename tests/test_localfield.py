@@ -105,6 +105,17 @@ def test_make_field_rejects_bad_input():
         make_field(3, UNRAMIFIED, (-1, 0, 1))
 
 
+def test_make_field_validation_branches():
+    # trailing zero coefficients are trimmed; an unramified polynomial of
+    # degree below 2 defines no extension; an Eisenstein polynomial needs
+    # every non-leading coefficient divisible by p, not only the constant
+    assert make_field(2, EISENSTEIN, (-2, 0, 1, 0)) == make_field(2, EISENSTEIN, (-2, 0, 1))
+    with pytest.raises(NotIrreducibleModP, match="degree >= 2"):
+        make_field(3, UNRAMIFIED, (1, 2))
+    with pytest.raises(NotEisenstein, match="non-leading"):
+        make_field(2, EISENSTEIN, (2, 1, 1))
+
+
 def test_make_field_rejects_non_integer_coefficients():
     # a float is not truncated (1.9 would give t^2 - 2) and a string is not
     # parsed: both raise TypeError where they enter

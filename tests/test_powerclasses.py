@@ -10,7 +10,7 @@ from conftest import SUITE_SEED, scaled_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicpowers import powerclasses
+from padicpowers import localfield, powerclasses
 from padicpowers import (
     ZeroArgument,
     class_of,
@@ -18,7 +18,6 @@ from padicpowers import (
     is_pth_power,
     iter_residues,
     oracle_is_pth_power,
-    residues,
     same_class,
     threshold_k0,
 )
@@ -111,6 +110,16 @@ def test_class_order_is_first_match(Q2, Q3, Q5, E2, U2, E2_cube, E3):
         assert [cls.label() for cls in enumerate_classes(field)] == expected
 
 
+def test_class_table_caches_no_residue_system(Q3, E2, U2, E3):
+    # the table reads the residues modulo pi^k0 once, as they are made, and
+    # leaves no copy of the residue system in localfield's cache
+    cached = localfield._residues_cached
+    for field in (Q3, E2, U2, E3):
+        cached.cache_clear()
+        powerclasses._unit_class_reps.__wrapped__(field)
+        assert cached.cache_info().currsize == 0, field
+
+
 def test_enumerate_classes_q3_labels(Q3):
     labels = [cls.label() for cls in enumerate_classes(Q3)]
     assert labels == ["1", "2", "4", "3", "6", "12", "9", "18", "36"]
@@ -171,9 +180,9 @@ def test_new_valuations_enumerate_no_residues(E2_cube, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return residues(*args)
+        return iter_residues(*args)
 
-    monkeypatch.setattr(powerclasses, "residues", counted)
+    monkeypatch.setattr(powerclasses, "iter_residues", counted)
     pi, u = E2_cube.uniformizer(), E2_cube.element((3, 5, 7))
     for v in range(300, 320):
         x = pi**v * u

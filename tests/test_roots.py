@@ -432,6 +432,18 @@ def test_res_ord_from_yun_takes_no_resultant(Q2, Q3, E2, analysis_calls, monkeyp
         assert ords == [resultant(G, G.derivative()).ord() for G in (f.poly for f, _ in factors)]
 
 
+def test_res_ord_zero_is_kept(Q2, analysis_calls):
+    # x^2 + x + 1 over Q_2 has ord Res(F, F') = 0, its resultant 3 being a
+    # unit: the decomposition hands over the value 0, and the record keeps
+    # it and takes no resultant of its own
+    F = P(Q2, 1, 1, 1)
+    assert polyring._squarefree_decompose(F)[1] == 0
+    analysis_calls.clear()
+    ((factor, _),) = _analyse(F, Q2).factors
+    assert factor.res_ord == 0
+    assert analysis_calls == {"squarefree_decompose": 1}
+
+
 def test_pth_roots_stop_at_the_first_verified_lift(E2, U2, E3, E2_cube, monkeypatch):
     # each ring root of X^p - x in Z[t] gives its w once, +-w for p = 2;
     # there both roots are in Z[t] and, with small coordinates, verify by
