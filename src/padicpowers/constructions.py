@@ -16,7 +16,6 @@ from fractions import Fraction
 from .decide import DEFAULT_BUDGET, _decide_CK, _decide_CZ, _krasner
 from .errors import (
     DegreeTooSmall,
-    KTooLargeForMemory,
     LiftObstruction,
     LiftSearchBudgetExceeded,
     MTooSmall,
@@ -25,7 +24,7 @@ from .errors import (
     PreconditionRootInRing,
     UnsupportedField,
 )
-from .localfield import BASE, LocalField, _vp
+from .localfield import BASE, LocalField, _check_residue_count, _vp
 from .polyring import IntPoly, reciprocal
 from .roots import _analyse
 
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 _NODE_CAP = 20_000
-_POINT_CAP = 4096
 
 
 def make_cz_not_ck(field: LocalField) -> IntPoly:
@@ -114,16 +112,20 @@ def _assert_member(F: IntPoly, field: LocalField) -> None:
 def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
     """Integer polynomial G with ord(F(a) - G(a)^p) >= n for every a.
 
-    Both sides mod p^n only depend on a mod p^n, so the residue points
-    0 .. p^n - 1 carry the whole constraint.  For each point the p-th roots
-    of F(a) mod p^n are tabulated; a depth-first search then picks one root
-    per point and solves the triangular falling-factorial system
-    G = sum c_j (x)_j, where point j constrains c_j * j! and is solvable
-    exactly when the chosen root matches the partial sum to ord at least
-    min(ord(j!), n).  Roots are tried best-match first (for p = 2 the branch
-    that is 1 mod 4 breaks ties), and exhausted branches backtrack.  A search
-    past _NODE_CAP nodes raises LiftSearchBudgetExceeded, a resource limit;
-    LiftObstruction itself means that every root branch fails.
+    An integer polynomial H = sum b_j (x)_j has integer b_j, and its Mahler
+    coefficients are the b_j j!, so H vanishes mod p^n on Z exactly when
+    H(a) does for a < k = min{j : ord(j!) >= n} <= n p.  For each such point
+    the p-th roots of F(a) mod p^n are tabulated; a depth-first search then
+    picks one root per point and solves the triangular falling-factorial
+    system G = sum c_j (x)_j, where point j constrains c_j * j! and is
+    solvable exactly when the chosen root matches the partial sum to ord at
+    least ord(j!).  Roots are tried best-match first (for p = 2 the branch
+    that is 1 mod 4 breaks ties), and exhausted branches backtrack.  G is
+    verified at a = 0 .. D, D = max(deg F, p deg G), which covers Z as F - G^p
+    has degree at most D.  A table of p^n > RESIDUE_CAP residues raises
+    KTooLargeForMemory and a search past _NODE_CAP choices
+    LiftSearchBudgetExceeded, both resource limits; LiftObstruction itself
+    means that every root branch fails.
     """
     if F.field != field:
         raise ValueError("polynomial belongs to a different field")
@@ -131,30 +133,29 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
         raise UnsupportedField("approximation is implemented for the base field only")
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_residue_count(field, n)
+    _assert_member(F, field)
     p = field.p
     modulus = p**n
-    if modulus > _POINT_CAP:
-        raise KTooLargeForMemory(f"p^n = {modulus} residue points exceed the cap")
-    _assert_member(F, field)
 
-    roots_of: dict[int, list[int]] = {}
-    for y in range(modulus):
-        roots_of.setdefault(pow(y, p, modulus), []).append(y)
-    candidate_sets = []
-    for a in range(modulus):
-        target = F(a).coords[0] % modulus
-        ys = roots_of.get(target)
-        if not ys:  # pragma: no cover - membership guarantees a root
-            raise AssertionError("member value without a p-th root modulo p^n")
-        candidate_sets.append(ys)
-
-    # ord(j!) and the unit part of j! modulo p^n, built incrementally
-    fact_ord = [0] * modulus
-    fact_unit = [1] * modulus
-    for j in range(1, modulus):
+    # ord(j!) and the unit part of j! modulo p^n for j < k, built incrementally
+    fact_ord = [0]
+    fact_unit = [1]
+    while fact_ord[-1] + _vp(len(fact_ord), p) < n:
+        j = len(fact_ord)
         w = _vp(j, p)
-        fact_ord[j] = min(fact_ord[j - 1] + w, n)
-        fact_unit[j] = fact_unit[j - 1] * (j // p**w) % modulus
+        fact_ord.append(fact_ord[-1] + w)
+        fact_unit.append(fact_unit[-1] * (j // p**w) % modulus)
+    k = len(fact_ord)
+
+    targets = [F(a).coords[0] % modulus for a in range(k)]
+    roots_of: dict[int, list[int]] = {t: [] for t in targets}
+    for y in range(modulus):
+        ys = roots_of.get(pow(y, p, modulus))
+        if ys is not None:
+            ys.append(y)
+    if not all(roots_of.values()):  # pragma: no cover - membership guarantees a root
+        raise AssertionError("member value without a p-th root modulo p^n")
 
     def partial_at(cs: list[int], j: int) -> int:
         total = 0
@@ -169,30 +170,21 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
     def ordered_choices(cs: list[int], j: int) -> list[int]:
         part = partial_at(cs, j)
         need = fact_ord[j]
+        unit_inv = pow(fact_unit[j], -1, modulus)
         ranked = []
-        for y in candidate_sets[j]:
+        for y in roots_of[targets[j]]:
             diff = (y - part) % modulus
             dord = n if diff == 0 else _vp(diff, p)
             if dord >= need:
                 branch = 0 if p != 2 or y % 4 == 1 else 1
-                ranked.append((-dord, branch, y))
-        ranked.sort()
-        out = []
-        for _, _, y in ranked:
-            diff = (y - part) % modulus
-            if fact_ord[j] >= n:
-                c = 0
-            else:
-                w = fact_ord[j]
-                unit_inv = pow(fact_unit[j], -1, modulus)
-                c = (diff // p**w) * unit_inv % p ** (n - w)
-            out.append(c)
-        return out
+                c = (diff // p**need) * unit_inv % p ** (n - need)
+                ranked.append((-dord, branch, y, c))
+        return [c for *_, c in sorted(ranked)]
 
     cs: list[int] = []
     options: list[list[int]] = []
     nodes = 0
-    while len(cs) < modulus:
+    while len(cs) < k:
         j = len(cs)
         if j == len(options):
             options.append(ordered_choices(cs, j))
@@ -215,18 +207,19 @@ def approximate_on_integers(F: IntPoly, field: LocalField, n: int) -> IntPoly:
 
     # (x)_j is expanded only up to the last nonzero c_j
     cs = cs[: max((j + 1 for j, c in enumerate(cs) if c), default=0)]
-    coeffs = [0] * modulus
+    coeffs = [0] * k
     fall_poly = [1]
     for j, c in enumerate(cs):
         if c:
-            for k, fc in enumerate(fall_poly):
-                coeffs[k] = (coeffs[k] + c * fc) % modulus
+            for i, fc in enumerate(fall_poly):
+                coeffs[i] = (coeffs[i] + c * fc) % modulus
         fall_poly = [0] + fall_poly
-        for k in range(len(fall_poly) - 1):
-            fall_poly[k] = (fall_poly[k] - j * fall_poly[k + 1]) % modulus
+        for i in range(len(fall_poly) - 1):
+            fall_poly[i] = (fall_poly[i] - j * fall_poly[i + 1]) % modulus
     balanced = [c - modulus if 2 * c > modulus else c for c in coeffs]
     G = IntPoly(field, balanced)
-    for a in range(modulus):
+    top = max(len(F.coeffs) - 1, p * (len(G.coeffs) - 1))
+    for a in range(top + 1):
         residue = (F(a).coords[0] - G(a).coords[0] ** p) % modulus
         if residue:  # pragma: no cover - the construction guarantees this
             raise AssertionError("approximation failed verification")

@@ -583,17 +583,21 @@ def ord(x: OKElem, field: LocalField | None = None) -> Union[int, float]:
     return x.ord()
 
 
-def _check_residue_count(field: LocalField, k: int) -> int:
+def _over_residue_cap(p: int, e: int) -> bool:
+    # p^e > RESIDUE_CAP, settled by e alone, without building p^e, when e is large
+    return e >= RESIDUE_CAP.bit_length() or p**e > RESIDUE_CAP
+
+
+def _check_residue_count(field: LocalField, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    count = field.p ** (field.f * k)
-    if count > RESIDUE_CAP:
+    p, e = field.p, field.f * k
+    if _over_residue_cap(p, e):
         raise KTooLargeForMemory(
-            f"residue system of size {field.p}^{field.f * k} exceeds the cap {RESIDUE_CAP}",
-            count=count,
+            f"residue system of size {p}^{e} exceeds the cap {RESIDUE_CAP}",
+            count=f"{p}^{e}",
             cap=RESIDUE_CAP,
         )
-    return count
 
 
 def iter_residues(field: LocalField, k: int) -> Iterator[OKElem]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import KTooLargeForMemory
-from .localfield import BASE, RESIDUE_CAP, LocalField, OKElem, iter_residues
+from .localfield import BASE, RESIDUE_CAP, LocalField, OKElem, _over_residue_cap, iter_residues
 
 __all__ = ["oracle_decide", "oracle_is_pth_power", "oracle_max_ord"]
 
@@ -25,8 +25,8 @@ def _min_depth(field: LocalField) -> int:
 
 @lru_cache(maxsize=32)
 def _power_residues(p: int, depth: int) -> frozenset[int]:
-    if p**depth > RESIDUE_CAP:
-        raise KTooLargeForMemory(f"p^depth = {p**depth} exceeds the cap {RESIDUE_CAP}")
+    if _over_residue_cap(p, depth):
+        raise KTooLargeForMemory(f"p^depth = {p}^{depth} exceeds the cap {RESIDUE_CAP}")
     return frozenset(pow(b, p, p**depth) for b in range(p**depth))
 
 
@@ -52,7 +52,8 @@ def oracle_is_pth_power(x: OKElem, field: LocalField, depth: int) -> bool:
         # exactly when b^p = u mod p^depth, so one set lookup replaces the scan
         p = field.p
         unit = x.coords[0] // p**v
-        return unit % p**depth in _power_residues(p, depth)
+        powers = _power_residues(p, depth)  # checks the cap before p^depth is built
+        return unit % p**depth in powers
     shift = field.one()
     pi = field.uniformizer()
     for _ in range(v):

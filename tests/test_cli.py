@@ -114,14 +114,28 @@ def test_paper_member_over_q7_runs_out_of_budget(capsys):
 
 
 def test_exit_code_resource_cap(capsys):
-    # 2^13 residue points exceed the approximation's cap: a resource limit,
-    # not a failed precondition
+    # the 2^20 residues of the approximation's p-th power table exceed the
+    # residue cap: a resource limit, not a failed precondition
     code, out, err = invoke(
-        capsys, "approximate", "--p", "2", "--coeffs", "9,0,4,0,4", "--n", "13", "--json"
+        capsys, "approximate", "--p", "2", "--coeffs", "9,0,4,0,4", "--n", "20", "--json"
     )
     assert code == 3
     assert json.loads(out)["error"]["reason"] == "k-too-large-for-memory"
     assert "k-too-large-for-memory" in err
+
+
+def test_resource_cap_error_names_its_size(capsys):
+    # the refusal names 3^3000000 instead of printing it, and comes at once
+    started = time.monotonic()
+    code, out, err = invoke(
+        capsys, "approximate", "--p", "3", "--coeffs", "1,27", "--n", "3000000", "--json"
+    )
+    assert code == 3
+    assert time.monotonic() - started < 1
+    error = json.loads(out)["error"]
+    assert error["reason"] == "k-too-large-for-memory"
+    assert error["details"]["count"] == "3^3000000"
+    assert len(out) + len(err) < 500
 
 
 def test_exit_code_lift_search_cap(capsys, monkeypatch):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from padicpowers import constructions
 from padicpowers import (
+    BASE,
     DegreeTooSmall,
     IntPoly,
     KTooLargeForMemory,
@@ -25,6 +28,7 @@ from padicpowers import (
     is_perfect_pth_power_poly,
     make_ck_not_power,
     make_cz_not_ck,
+    make_field,
     reciprocal,
     resultant,
     stability_radius,
@@ -182,7 +186,70 @@ def test_approximate_preconditions(Q2, E2):
     with pytest.raises(ValueError):
         approximate_on_integers(P(Q2, 1), Q2, 0)
     with pytest.raises(KTooLargeForMemory):
-        approximate_on_integers(P(Q2, 1), Q2, 13)
+        approximate_on_integers(P(Q2, 1), Q2, 20)
+
+
+def test_approximate_cap_refusal_is_quick(Q3):
+    # the size is named as p^n, so a refusal prints no huge number, and the
+    # exponent is compared first, so it builds none
+    F = P(Q3, 1, 27)
+    with pytest.raises(KTooLargeForMemory, match=r"3\^10000 "):
+        approximate_on_integers(F, Q3, 10**4)
+    started = time.perf_counter()
+    with pytest.raises(KTooLargeForMemory):
+        approximate_on_integers(F, Q3, 10**12)
+    assert time.perf_counter() - started < 1
+
+
+def _approximation_grid():
+    # the paper's families and the fixtures, at every n with p^n <= 4096
+    for p in (2, 3, 5, 7):
+        field = make_field(p, BASE)
+        m = 1
+        while m * (p - 1) <= p:
+            m += 1
+        polys = [make_ck_not_power(field, mm) for mm in (m, m + 1, m + 2)]
+        polys.append(make_cz_not_ck(field))
+        if p == 2:
+            polys += [
+                P(field, 9, 0, 4, 0, 4),
+                P(field, 1, 0, 4, 0, 36),
+                P(field, 1, 8),
+                P(field, 41, 30, 31, 10, 1),
+            ]
+        if p == 3:
+            polys.append(P(field, 1, 27))
+        for F in polys:
+            n = 1
+            while p**n <= 4096:
+                yield F, field, n
+                n += 1
+
+
+def test_approximate_grid_keeps_its_sections():
+    # the search over the first k Mahler points returns the G that the
+    # exhaustive search over all p^n residue points returned
+    out = [str(approximate_on_integers(F, field, n)) for F, field, n in _approximation_grid()]
+    assert len(out) == 167
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "fe1db6fdf8b3868576544375113b8ef852bd99e4ee554d439aa173046b749db7"
+
+
+def test_approximate_past_4096_points_pointwise(Q2):
+    # checked at every residue modulo 2^n, independently of the deg + 1 check
+    F = P(Q2, 9, 0, 4, 0, 4)
+    for n in (13, 16):
+        G = approximate_on_integers(F, Q2, n)
+        fs = [c.coords[0] for c in F.coeffs]
+        gs = [c.coords[0] for c in G.coeffs]
+        modulus = 2**n
+        for a in range(modulus):
+            fa = ga = 0
+            for c in reversed(fs):
+                fa = (fa * a + c) % modulus
+            for c in reversed(gs):
+                ga = (ga * a + c) % modulus
+            assert (fa - ga * ga) % modulus == 0, (n, a)
 
 
 def test_approximate_node_cap_is_a_resource_limit(Q2, monkeypatch):

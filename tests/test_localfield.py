@@ -351,6 +351,17 @@ def test_residue_cap(Q2):
         residues(Q2, 20)
 
 
+def test_residue_cap_compares_the_exponent_first(Q3, U2):
+    # 3^(10^12) is never built: the refusal comes at once and names the size
+    started = time.perf_counter()
+    with pytest.raises(KTooLargeForMemory) as info:
+        residues(Q3, 10**12)
+    assert info.value.details["count"] == "3^1000000000000"
+    with pytest.raises(KTooLargeForMemory, match=r"2\^2000000000000 "):
+        list(iter_residues(U2, 10**12))
+    assert time.perf_counter() - started < 1
+
+
 def test_reduce_mod(Q2, E2):
     assert reduce_mod(Q2.element(17), Q2, 3) == Q2.element(1)
     assert reduce_mod(Q2.element(-1), Q2, 3) == Q2.element(7)

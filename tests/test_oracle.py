@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from conftest import scaled_units
 
 from padicpowers import (
     IntPoly,
+    KTooLargeForMemory,
     is_pth_power,
     iter_residues,
     oracle_decide,
@@ -25,6 +28,16 @@ def test_power_fixtures(Q2, E2):
     assert oracle_is_pth_power(Q2.element(1), Q2, threshold_k0(Q2))
     assert oracle_is_pth_power(E2.element(1), E2, threshold_k0(E2))
     assert oracle_is_pth_power(Q2.zero(), Q2, 3)
+
+
+def test_power_table_cap_is_quick(Q3):
+    # the table size is named as p^depth, and the exponent is compared first
+    with pytest.raises(KTooLargeForMemory, match=r"3\^10000 "):
+        oracle_is_pth_power(Q3.element(2), Q3, 10**4)
+    started = time.perf_counter()
+    with pytest.raises(KTooLargeForMemory):
+        oracle_is_pth_power(Q3.element(2), Q3, 10**12)
+    assert time.perf_counter() - started < 1
 
 
 def test_depth_guard(Q2):
