@@ -41,8 +41,10 @@ __all__ = ["main", "run"]
 # Largest exponent accepted after ^ in a polynomial expression, counted in
 # degrees for a non-constant base (so nested powers are bounded too).  The
 # expansion cost grows faster than the degree, and an unbounded exponent
-# such as x^99999999999 would never finish expanding.
-MAX_EXPONENT = 100
+# such as x^99999999999 would never finish expanding.  1,024 admits the
+# paper's members that `construct ck-not-power` prints through p = 31, of
+# degree p^2.
+MAX_EXPONENT = 1024
 
 
 class _UsageError(Exception):

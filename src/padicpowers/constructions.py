@@ -52,13 +52,19 @@ def make_cz_not_ck(field: LocalField) -> IntPoly:
 
 
 def make_ck_not_power(field: LocalField, m: int) -> IntPoly:
-    """(1 + pi x^p)^p + pi^m, a field-wide member that is not G^p for any G."""
+    """(1 + pi x^p)^p + pi^m, a field-wide member that is not G^p for any G.
+
+    Built from its p + 1 nonzero terms: C(p, k) pi^k at x^(pk), and pi^m
+    added at x^0."""
     p, e = field.p, field.e
     if m * (p - 1) <= e * p:
         raise MTooSmall(f"m must exceed ep/(p-1) = {e * p}/{p - 1}", m=m)
     pi = field.uniformizer()
-    inner = IntPoly(field, (1,) + (0,) * (p - 1) + (pi,))
-    return inner**p + IntPoly(field, (pi**m,))
+    vecs = [field.zero().coords] * (p * p + 1)
+    for k in range(p + 1):
+        vecs[p * k] = (pi**k * math.comb(p, k)).coords
+    vecs[0] = (field.one() + pi**m).coords
+    return IntPoly._of(field, vecs)
 
 
 def stability_radius(F: IntPoly, field: LocalField) -> int:

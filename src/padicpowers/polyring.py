@@ -245,11 +245,13 @@ class IntPoly:
 
 def _convolve(a: list, b: list, mul) -> list:
     """Product of two nonempty lists of coordinate tuples, low degree
-    first, with coefficients multiplied by mul."""
+    first, with coefficients multiplied by mul; zero terms of either
+    factor are skipped."""
     out = [(0,) * len(a[0])] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if any(y)]
     for i, x in enumerate(a):
         if any(x):
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] = tuple(map(operator.add, out[i + j], mul(x, y)))
     return out
 
@@ -367,7 +369,8 @@ def _kp_add(a, b):
     field = a[0].field
     out = list(a) + [_kzero(field)] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = out[i] + c
+        if any(c.num):
+            out[i] = out[i] + c if any(out[i].num) else c
     return _kp_trim(out)
 
 
@@ -376,7 +379,7 @@ def _kp_sub(a, b):
 
 
 def _kp_scale(a, k: _KElem):
-    return _kp_trim([c * k for c in a])
+    return _kp_trim([c * k if any(c.num) else c for c in a])
 
 
 def _kp_derivative(a):
@@ -390,22 +393,25 @@ def _kp_divmod(a, b):
 
     b must be monic, so each quotient coefficient is the remainder's leading
     coefficient and no division happens; every divisor in Yun is a monic
-    remainder or a monic gcd.
+    remainder or a monic gcd.  Each step subtracts coef b_j only for the
+    nonzero b_j.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     field = b[0].field
+    zero = field.zero().coords
     rem = list(a)
     quot = [_kzero(field)] * max(len(a) - len(b) + 1, 0)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj.num != zero]
     while True:
-        while rem and not rem[-1]:
+        while rem and rem[-1].num == zero:
             rem.pop()
         if len(rem) < len(b):
             break
         coef = rem[-1]
         shift = len(rem) - len(b)
         quot[shift] = coef
-        for j, bj in enumerate(b):
+        for j, bj in terms:
             rem[shift + j] = rem[shift + j] - coef * bj
     return _kp_trim(quot), _kp_trim(rem)
 
@@ -549,14 +555,16 @@ def _exact_decompose(F: IntPoly):
 
 def _cleared(F: IntPoly, parts) -> SquareFreeDecomposition:
     """The decomposition of F from its monic Yun factors with their
-    multiplicities: each factor cleared by the lcm s of its coordinate
-    denominators, built from the scaled coordinate tuples, and c the product
-    of the s^m, all handed to the identity check _verified."""
+    multiplicities: each factor cleared by the lcm s of the denominators of
+    its nonzero coefficients, built from the scaled coordinate tuples, and
+    c the product of the s^m, all handed to the identity check _verified.
+    A zero's denominator is left out, as a zero reached through operands
+    not in lowest terms, such as 1/2 - 3/6 = 0/3, would make G imprimitive."""
     field = F.field
     factors = []
     c = 1
     for h, mult in parts:
-        s = math.lcm(*(coeff.den for coeff in h))
+        s = math.lcm(*(coeff.den for coeff in h if coeff))
         c *= s**mult
         G = IntPoly._of(field, [tuple([x * (s // coeff.den) for x in coeff.num]) for coeff in h])
         factors.append((G, mult))
@@ -752,16 +760,18 @@ def _quo(xs: list, b: tuple[int, ...], field: LocalField) -> list:
 
 def _prem(A: list, B: list, mul) -> list:
     """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, low to high,
-    on coordinate tuples multiplied by mul."""
+    on coordinate tuples multiplied by mul; zero entries of R and B are
+    skipped."""
     dB = len(B) - 1
     c = B[-1]
+    terms = [(i, y) for i, y in enumerate(B[:-1]) if any(y)]
     R = list(A)
     for k in range(len(A) - 1 - dB, -1, -1):
         top = R.pop()  # c * top - top * c cancels the leading term
-        R = [mul(c, x) for x in R]
+        R = [mul(c, x) if any(x) else x for x in R]
         if any(top):
-            for i in range(dB):
-                R[i + k] = tuple(map(operator.sub, R[i + k], mul(top, B[i])))
+            for i, y in terms:
+                R[i + k] = tuple(map(operator.sub, R[i + k], mul(top, y)))
     while R and not any(R[-1]):
         R.pop()
     return R

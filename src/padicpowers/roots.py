@@ -165,9 +165,9 @@ def _walk(G: IntPoly, margin: int, level: int, a: OKElem | None = None):
 def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
     """The start of a walk over G: the coefficient coordinates of G(a +
     pi^level y), by synthetic divisions by y - a, then c_k pi^(k level),
-    and the shift pi^level.  At level 0 the start is O_K: G's coordinates
-    as they are, and shift 1; at level 1 the scales pi^k are read from
-    _pi_powers."""
+    and the shift pi^level; zero terms are skipped.  At level 0 the start
+    is O_K: G's coordinates as they are, and shift 1; at level 1 the scales
+    pi^k are read from _pi_powers."""
     field = G.field
     coeffs = [c.coords for c in G.coeffs]
     if not level:
@@ -175,18 +175,31 @@ def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
     mul = field._mul_vec
     d = len(coeffs) - 1
     if a:
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                coeffs[j] = tuple(map(operator.add, coeffs[j], mul(coeffs[j + 1], a.coords)))
+        _shift(coeffs, a.coords, 0, d, mul)
     if level == 1:
-        coeffs[1:] = map(mul, coeffs[1:], _pi_powers(field, d)[1:])
-        return coeffs, field.uniformizer()
-    shift = field.uniformizer() ** level
-    scale = shift.coords
-    for k in range(1, d + 1):
-        coeffs[k] = mul(coeffs[k], scale)
-        scale = mul(scale, shift.coords)
+        shift = field.uniformizer()
+        scales = _pi_powers(field, d)
+    else:
+        shift = field.uniformizer() ** level
+        scales = [field.one().coords]
+        for _ in range(d):
+            scales.append(mul(scales[-1], shift.coords))
+    coeffs[1:] = [mul(x, s) if any(x) else x for x, s in zip(coeffs[1:], scales[1:])]
     return coeffs, shift
+
+
+def _shift(c: list, r: tuple[int, ...], start: int, stop: int, mul) -> None:
+    """Passes start..stop - 1 of the synthetic divisions of c, coefficient
+    coordinates low degree first, by y - r, in place: after passes 0..d -
+    1, c holds the coefficients of the polynomial at y + r, and pass 0
+    alone puts its value at r in c_0.  Pass 0 skips each zero c_(j+1),
+    which adds nothing to c_j.  After it no coefficient is zero, as c_d
+    and r are not, so the later passes test none."""
+    top = len(c) - 2
+    for i in range(start, stop):
+        for j in range(top, i - 1, -1):
+            if i or any(c[j + 1]):
+                c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r)))
 
 
 @lru_cache(maxsize=64)
@@ -217,7 +230,8 @@ def _children(a: OKElem, coeffs: list, tag, shift: OKElem, margin: int, field: L
 
     Both ords are read only as deep as that test needs: b through the
     running minimum of the parent's ords, each c'_0 up to the cap b -
-    margin + 1, below which it settles its child."""
+    margin + 1, below which it settles its child.  Zero terms are skipped
+    in the shift and the scaling."""
     mul = field._mul_vec
     d = len(coeffs) - 1
     cap = 2 + _least_ord(field, coeffs[1:]) - margin
@@ -225,15 +239,14 @@ def _children(a: OKElem, coeffs: list, tag, shift: OKElem, margin: int, field: L
     out = []
     for r in residues(field, 1):
         c = list(coeffs)
-        for i in range(d if r else 1):
-            if r:
-                for j in range(d - 1, i - 1, -1):
-                    c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r.coords)))
-            if not i and field._ord_vec(c[0], cap) < cap:
-                c = c[:1]
-                break
+        if r:
+            _shift(c, r.coords, 0, 1, mul)
+        if field._ord_vec(c[0], cap) < cap:
+            c = c[:1]
         else:
-            c = [mul(x, s) for x, s in zip(c, scales)]
+            if r:
+                _shift(c, r.coords, 1, d, mul)
+            c = [mul(x, s) if any(x) else x for x, s in zip(c, scales)]
         out.append((partial(_child_point, a, shift, r), c, None if out else tag))
     return out
 

@@ -60,10 +60,22 @@ def test_exponent_limit_is_usage_error(capsys):
     assert code == 64
     assert "exponent limit" in err
     # nested powers are bounded by the degree they would reach
-    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "((x+1)^10)^11")
+    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "((x+1)^32)^33")
     assert code == 64
     Q2 = make_field(2, BASE)
     assert _parse_poly_expr(f"x^{MAX_EXPONENT}", Q2).degree == MAX_EXPONENT
+
+
+def test_paper_member_round_trips_through_the_cli(capsys):
+    # construct prints the p = 23 member, of degree 529, which decide
+    # parses under the exponent limit and decides as a member
+    code, printed, err = invoke(capsys, "construct", "ck-not-power", "--p", "23", "--m", "2")
+    assert code == 0, err
+    assert "x^529" in printed
+    payload = payload_of(
+        capsys, "decide", "--p", "23", "--poly", printed.strip(), "--budget", str(10**40), "--json"
+    )
+    assert payload["verdict"] is True
 
 
 # --- exit codes

@@ -63,6 +63,26 @@ def test_make_ck_not_power_shapes(Q2, Q3):
         make_ck_not_power(Q3, 1)
 
 
+def test_make_ck_not_power_closed_form(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+    # C(p, k) pi^k at x^(pk) and pi^m added at x^0, against (1 + pi x^p)^p
+    # + pi^m expanded by IntPoly products: every fixture field at the
+    # smallest valid m and the next three, and Q_7, Q_11, Q_23 at m = 2
+    cases = [(make_field(p, BASE), 2) for p in (7, 11, 23)]
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+        p, e = field.p, field.e
+        low = e * p // (p - 1) + 1
+        with pytest.raises(MTooSmall):
+            make_ck_not_power(field, low - 1)
+        cases += [(field, m) for m in range(low, low + 4)]
+    for field, m in cases:
+        p, pi = field.p, field.uniformizer()
+        inner = IntPoly(field, [1] + [0] * (p - 1) + [pi])
+        expanded = IntPoly(field, (1,))
+        for _ in range(p):
+            expanded = expanded * inner
+        assert make_ck_not_power(field, m) == expanded + IntPoly(field, (pi**m,)), (field, m)
+
+
 def test_make_ck_not_power_is_member_not_power(Q2, Q3, Q5):
     # Q5, m = 2 needs the default budget only since the reduction stopped
     # rescaling F by c^p with ord_5 c = 1

@@ -1021,6 +1021,51 @@ def test_cleared_refuses_a_wrong_factor(Q3, E2, U2, E2_cube):
                 polyring._verified(F, ((_coord_off_by_one(G, coeff, field.degree - 1), 1),), dec.c)
 
 
+def test_cleared_leaves_out_the_denominator_of_a_zero(Q3):
+    # 1/2 - 3/6, with 3/6 not in lowest terms, is the zero 0/3; its
+    # denominator takes no part in the lcm that clears the factor, so
+    # x^2 + 1 comes back primitive with c = 1, not as 3x^2 + 3 with c = 3
+    K = polyring._KElem
+    zero = K(Q3, (1,), 2) - K(Q3, (3,), 6)
+    assert not zero and zero.den == 3
+    F = P(Q3, 1, 0, 1)
+    dec = polyring._cleared(F, [((K(Q3, (1,)), zero, K(Q3, (1,))), 1)])
+    assert dec.factors == ((F, 1),)
+    assert dec.c == 1
+
+
+# the criterion-5 nonic 27x^9 + 54x^6 + 54x^3 + 40
+NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
+
+
+def test_decomposition_identity_on_sparse_input(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+    # x^p-sparse F, whose zero terms every kernel of the decomposition
+    # skips: the paper's member (1 + pi x^p)^p + pi^m at the smallest m,
+    # its reciprocal, the member plus pi, the nonic, and the member squared
+    # times x + 1 for a repeated factor; every factor is primitive, c > 0,
+    # and c F = lc prod G^m holds, recomputed with IntPoly products
+    for field in (Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
+        p, e = field.p, field.e
+        member = make_ck_not_power(field, e * p // (p - 1) + 1)
+        cases = [
+            member,
+            reciprocal(member),
+            member + P(field, field.uniformizer()),
+            IntPoly(field, NONIC),
+            member * member * P(field, 1, 1),
+        ]
+        for F in cases:
+            dec = squarefree_decompose(F)
+            assert dec.lc == F.lc
+            assert dec.c > 0
+            rhs = IntPoly(field, (dec.lc,))
+            for G, mult in dec.factors:
+                assert math.gcd(*(x for coeff in G.coeffs for x in coeff.coords)) == 1, (str(F), str(G))
+                rhs = rhs * G**mult
+            assert F * dec.c == rhs, str(F)
+        assert sorted(mult for _, mult in dec.factors) == [1, 2]
+
+
 def test_decomposition_identity_recomputed(Q2, Q3, Q5, E2, U2, E2_cube):
     # c F = lc prod G^m recomputed with IntPoly products and powers, every
     # factor primitive (its coordinates have gcd 1) and c > 0, on seeded
