@@ -12,7 +12,10 @@ the ring-root search: a residue class a + pi^L O_K carries the coefficients
 of F(a + pi^L y), and it is pinned once every higher coefficient has ord at
 least the constant term's ord plus the congruence threshold M, since F then
 keeps one ord and one power class on the whole class.  The scan splits
-exactly the classes that are not yet pinned.  witness_count is the size
+exactly the classes that are not yet pinned.  Where F's power-free part
+has a root in the field, the counterexample comes from the same scan, run
+on the residue class of that root only.  budget bounds the scan nodes a
+decision visits, over all its scans.  witness_count is the size
 p^(f(m + M)) of the residue system that certifies a scan whose largest ord
 is m, summed over the scans of a decision, an invariant of F, not the
 number of nodes visited.
@@ -38,7 +41,7 @@ from .errors import (
     ScanBudgetExceeded,
     ZeroPolynomial,
 )
-from .localfield import BASE, LocalField, OKElem, residues
+from .localfield import BASE, LocalField, OKElem
 from .polyring import IntPoly, reciprocal, resultant
 from .powerclasses import (
     PowerClassId,
@@ -48,7 +51,7 @@ from .powerclasses import (
     is_pth_power,
     threshold_k0,
 )
-from .roots import RootApproximation, _analyse, _Analysis, _descend, _walk
+from .roots import _analyse, _Analysis, _walk
 
 __all__ = [
     "BoundsReport",
@@ -61,7 +64,7 @@ __all__ = [
     "witness_bounds",
 ]
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 10_000_000  # scan nodes a decision may visit
 
 Rational = Union[int, Fraction]
 
@@ -87,15 +90,17 @@ class DecisionReport(NamedTuple):
 
     For verdict False the counterexample names a witness point and the
     nontrivial power class of F's nonzero value there.  When decide_CK fails
-    on the reciprocal side (its scan, or a root of F_* outside the ring),
-    the witness point belongs to the reciprocal: the class is that of
-    reciprocal(F_*) at the point, which certifies non-membership of F just
-    as directly.
+    on the reciprocal side (its scan, or the scan of the class of a root of
+    F_* outside the ring), the witness point belongs to the reciprocal: the
+    class is that of reciprocal(F_*) at the point, which certifies
+    non-membership of F just as directly.
 
     witness_count is p^(f(m + M)) for the direct scan's largest ord m, plus
     for decide_CK p^(f(m' + M)) for the reciprocal scan's largest ord m'
     on pi O_K (on O_K when p does not divide deg F_*).  final_m is the
-    larger of m and m'.
+    larger of m and m'.  A decision that ends in the scan of the class of
+    a field root of F_* scans neither, and reports final_m 0, witness_count
+    0 and no bounds.
     """
 
     verdict: bool
@@ -230,53 +235,71 @@ def _witness_size(field: LocalField, m: int, M: int) -> int:
     return field.p ** (field.f * (m + M))
 
 
-def _budget_guard(field: LocalField, m: int, M: int, budget: int) -> None:
-    if _witness_size(field, m, M) > budget:
-        raise ScanBudgetExceeded(
-            f"witness system of size p^{field.f * (m + M)} exceeds the budget {budget}",
-            m=m,
-            M=M,
-        )
-
-
 def _scan(
-    F: IntPoly, field: LocalField, M: int, budget: int, collect: bool, pi_ok: bool = False
+    F: IntPoly, field: LocalField, M: int, budget: int, collect: bool, visited=0, level=0, a=None
 ):
-    """Core scan of O_K, or with pi_ok of pi O_K only, on the Taylor walk
-    roots._walk.  Returns (final_m, m_history, counterexample, classes).
+    """Core scan of the class a + pi^level O_K, O_K by default, on the
+    Taylor walk roots._walk.  Returns (final_m, m_history, counterexample,
+    classes, visited).
 
     A node is a residue class a + pi^L O_K with the coefficients c_k of
     F(a + pi^L y).  When min_{k>=1} ord c_k >= ord c_0 + M, F / c_0 lies in
     1 + pi^M O_K on the whole class, so every value there has the ord and
     the power class of c_0 = F(a) and the node is pinned; otherwise it is
-    split at margin M.  The walk's order makes the whole report
-    deterministic.  A node's tag is ord c_0 once its point is tested, so
-    the child r = 0, which repeats its parent's point, is not tested again.
+    split at margin M.  A node whose value is exactly 0, at a root of F, is
+    split: no class around a root is pinned.  The walk's order makes the
+    whole report deterministic.  A node's tag is ord c_0 once its point is
+    tested, so the child r = 0, which repeats its parent's point, is not
+    tested again.  Each level's nodes are added to visited, the nodes the
+    decision's scans visited before, and past budget it raises
+    ScanBudgetExceeded.
     """
-    _budget_guard(field, 0, M, budget)
     m = 0
     history = [0]
     classes: Optional[set[PowerClassId]] = set() if collect else None
-    for _, nodes, split in _walk(F, M, int(pi_ok)):
+    for _, nodes, split in _walk(F, M, level, a):
+        visited += len(nodes)
+        if visited > budget:
+            message = f"scan visited {visited} nodes, past the budget {budget}"
+            raise ScanBudgetExceeded(message, nodes=visited, budget=budget)
         for point, coeffs, v in nodes:
             if v is None:
                 value = OKElem(field, coeffs[0])
                 if not value:
-                    raise AssertionError("scan hit a zero value despite rootless input")
+                    split(point, coeffs, None)
+                    continue
                 if collect:
                     classes.add(class_of(value, field))
                 elif not is_pth_power(value, field):
-                    return m, tuple(history), (point(), class_of(value, field)), classes
+                    return m, tuple(history), (point(), class_of(value, field)), classes, visited
                 v = value.ord()
                 if v > m:
                     m = v
-                    _budget_guard(field, m, M, budget)
                     history.append(m)
             # pinned when every c_k, k >= 1, lies in the lattice pi^(v + M) O_K
             moduli = _moduli(field, v + M)
             if not all(x % n == 0 for c in coeffs[1:] for x, n in zip(c, moduli)):
                 split(point, coeffs, v)
-    return m, tuple(history), None, classes
+    return m, tuple(history), None, classes, visited
+
+
+def _class_scan(P: IntPoly, a: OKElem, level: int, M: int, budget: int, visited: int = 0):
+    """The counterexample of _scan on the class a + pi^level O_K, which
+    holds a root r of P of multiplicity m.
+
+    This ends.  Write P = (x - r)^m Q, Q(r) != 0.  Beyond the largest
+    ord(r - r') over the other roots r' of P, ord Q(x) is constant, and
+    soon Q(x) / Q(r) lies in 1 + pi^k0 O_K.  The node that holds r is never
+    pinned, so each level L tests points x with ord(x - r) = L.  If p does
+    not divide m, as at a root of the power-free part, ord P(x) = m L +
+    ord Q(r): a non-power appears within p more levels.  If p divides m, as
+    at the root of a stripped H^p where a scan of the power-free part
+    failed, P(x) has the class of Q(r), the non-power class found there.
+    """
+    counterexample = _scan(P, P.field, M, budget, False, visited, level, a)[2]
+    if counterexample is None:
+        raise AssertionError("the scan of a root's class found no counterexample")
+    return counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +310,10 @@ def _report(
     class_tested: str, M: int, counterexample, final_m=0, witness_count=0, m_history=(), bounds=None
 ) -> DecisionReport:
     """The report of a decision: the verdict is membership exactly when no
-    counterexample was found.  A verdict reached without a scan, membership
-    of the zero polynomial (0 = 0^p, in both classes) or a counterexample
-    near a field root, keeps the defaults: no scan, so no witnesses and no
-    bounds."""
+    counterexample was found.  A verdict reached without a scan of F_*,
+    membership of the zero polynomial (0 = 0^p, in both classes) or a
+    counterexample from the class of a field root, keeps the defaults: no
+    witnesses and no bounds."""
     verdict = counterexample is None
     return DecisionReport(
         verdict, class_tested, M, final_m, witness_count, counterexample, m_history, bounds
@@ -323,21 +346,20 @@ def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) ->
     which the direct scan has covered: the reciprocal is scanned on pi O_K
     only.  Otherwise it is scanned on all of O_K, so that a failure at a
     unit is still named.  A direct scan that fails where F = 0, at a root
-    of a stripped H^p, is probed on F from there.  The bounds come after
-    the scans, so that a scan out of budget computes no resultant."""
+    a of a stripped H^p, goes on with the scan of F on a + pi O_K
+    (_class_scan).  The bounds come after the scans, so that a scan out of
+    budget computes no resultant."""
     power_free, field = analysis.power_free, analysis.field
     F = power_free.F
     if F.degree == 0:
         return _constant_report(analysis, M, class_tested)
-    final_m, history, counterexample, _ = _scan(F, field, M, budget, collect=False)
+    final_m, history, counterexample, _, visited = _scan(F, field, M, budget, False)
     if counterexample and power_free is not analysis and not analysis.F(counterexample[0]):
-        a = counterexample[0]
-        H = next(factor.poly for factor, _ in analysis.factors if not factor.poly(a))
-        counterexample = _probe_near_root(analysis.F, H, RootApproximation(a, math.inf, True))
+        counterexample = _class_scan(analysis.F, counterexample[0], 1, M, budget, visited)
     witness_count = _witness_size(field, final_m, M)
     if class_tested == "C_K" and counterexample is None:
-        rev_m, rev_history, counterexample, _ = _scan(
-            reciprocal(F), field, M, budget, collect=False, pi_ok=F.degree % field.p == 0
+        rev_m, rev_history, counterexample, _, _ = _scan(
+            reciprocal(F), field, M, budget, False, visited, int(F.degree % field.p == 0)
         )
         final_m = max(final_m, rev_m)
         witness_count += _witness_size(field, rev_m, M)
@@ -359,7 +381,8 @@ def decide_CZ(
     splits residue classes until F's Taylor expansion pins each one; a
     member's final_m is the largest ord F takes on the ring, and the
     residue system modulo pi^(final_m + M), of size p^(f*(final_m + M)) =
-    witness_count, certifies the verdict.  A budget below 1 raises
+    witness_count, certifies the verdict.  A scan that visits more than
+    budget nodes raises ScanBudgetExceeded; a budget below 1 raises
     ValueError.
     """
     _check_budget(budget)
@@ -381,37 +404,6 @@ def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
     return _scan_report(analysis, M, budget, "C_ZK")
 
 
-def _probe_near_root(
-    P: IntPoly, G: IntPoly, root: RootApproximation
-) -> tuple[OKElem, PowerClassId]:
-    """The first x = a_L + pi^L u, for L = 1, 2, ... and nonzero level-1
-    digits u in residue order, where P takes a nonzero non-power value;
-    root is a root report (a, rho) of a square-free factor G of P, or an
-    exact zero.  a_L is a while L < rho and the point of precision L + 1 on
-    the root's descent (roots._descend) beyond, so ord(x - r) = L.
-
-    This ends.  Write P = (x - r)^m Q, Q(r) != 0.  Beyond the largest
-    ord(r - r') over the other roots r' of P, ord Q(x) is constant, and
-    soon Q(x) / Q(r) lies in 1 + pi^k0 O_K.  If p does not divide m, as at
-    a root of the power-free part, ord P = m L + ord Q(r): a non-power
-    appears within p more levels.  If p divides m, as at the root of a
-    stripped H^p where a scan failed, P(x) has the class of Q(r), which is
-    the non-power class the scan found there.
-    """
-    field = P.field
-    deeper = _descend(G, root)
-    pi = shift = field.uniformizer()
-    for level in count(1):
-        if root.precision <= level:
-            root = next(deeper)
-        for u in residues(field, 1)[1:]:
-            x = root.truncation + shift * u
-            value = P(x)
-            if value and not is_pth_power(value, field):
-                return x, class_of(value, field)
-        shift = shift * pi
-
-
 def decide_CK(
     F: IntPoly,
     field: LocalField,
@@ -421,11 +413,14 @@ def decide_CK(
     """Does F map the whole field into the p-th powers?
 
     Pipeline: strip p-th-power factors; a root of the reduced polynomial
-    anywhere in the field refutes membership (witnessed near the root);
-    otherwise membership holds iff both the reduced polynomial and its
-    reciprocal pass the valuation-ring scan.  F is decomposed once, and
-    each square-free factor and its reciprocal are searched for ring roots
-    once.  The zero polynomial is a member (0 is a p-th power).  A budget
+    anywhere in the field refutes membership, witnessed by the scan of the
+    root's residue class, of F or, for a root outside the ring, of the
+    reduced polynomial's reciprocal; otherwise membership holds iff both
+    the reduced polynomial and its reciprocal pass the valuation-ring scan.
+    F is decomposed once, and each square-free factor and its reciprocal
+    are searched for ring roots once.  The zero polynomial is a member (0
+    is a p-th power).  Scans that visit more than budget nodes together
+    raise ScanBudgetExceeded; the root search is not counted.  A budget
     below 1 raises ValueError.
     """
     _check_budget(budget)
@@ -442,14 +437,14 @@ def _decide_CK(analysis: _Analysis, budget: int) -> DecisionReport:
     reduced = power_free.F
     for factor, _ in power_free.factors:
         if factor.ring.exists:
-            counterexample = _probe_near_root(F, factor.poly, factor.ring.roots[0])
+            P, root = F, factor.ring.roots[0]
         elif factor.rev.exists:
-            counterexample = _probe_near_root(
-                reciprocal(reduced), reciprocal(factor.poly), factor.rev.roots[0]
-            )
+            P, root = reciprocal(reduced), factor.rev.roots[0]
         else:
             continue
-        return _report("C_K", M, counterexample)
+        # the class a + pi^rho O_K of the root report, a + pi O_K for rho = inf
+        level = root.precision if root.precision < math.inf else 1
+        return _report("C_K", M, _class_scan(P, root.truncation, level, M, budget))
     # no root in the field: in particular none in the ring, for the
     # reduced polynomial and for its reciprocal, as the scans require
     return _scan_report(analysis, M, budget, "C_K")
@@ -471,7 +466,8 @@ def class_spectrum(
     collected classes of the reduced polynomial on the valuation ring and
     of its reciprocal on pi O_K are exactly the classes attained on the
     field, because x outside the ring contributes class(rev F_*(1/x)) there,
-    with 1/x in pi O_K.  A budget below 1 raises ValueError.
+    with 1/x in pi O_K.  The two scans share the budget of nodes; a budget
+    below 1 raises ValueError.
     """
     _check_budget(budget)
     analysis = _analyse(F, field)
@@ -489,6 +485,6 @@ def class_spectrum(
     M = threshold_k0(field)
     if reduced.degree % field.p != 0:
         return set(enumerate_classes(field)), attains_zero
-    _, _, _, direct = _scan(reduced, field, M, budget, collect=True)
-    _, _, _, mirrored = _scan(reciprocal(reduced), field, M, budget, collect=True, pi_ok=True)
+    _, _, _, direct, visited = _scan(reduced, field, M, budget, True)
+    _, _, _, mirrored, _ = _scan(reciprocal(reduced), field, M, budget, True, visited, 1)
     return direct | mirrored, attains_zero

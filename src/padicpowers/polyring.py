@@ -494,15 +494,16 @@ def squarefree_decompose(F: IntPoly) -> SquareFreeDecomposition:
     """Yun decomposition over the fraction field plus denominator clearing.
 
     A polynomial of height at least 2^512 is first tried at working
-    precision: when its copy modulo p^N, for some p^N of at most an eighth
-    of its bits, has a nonzero resultant with its derivative, of ord below
-    e N, the resultant congruence certifies that F is square-free, and F's
-    one factor is returned, read from the integral cofactor of lc with no
-    fraction-field element.  Past the last copy, a nonzero Res(F, F') taken
-    exactly certifies it in the same way.  Otherwise, and for every
-    narrower polynomial, Yun runs on F itself.  Either way the identity
-    below is verified exactly on coordinate tuples.  Raises ZeroPolynomial
-    on the zero input.  Constants decompose with an empty factor list.
+    precision: when its copy modulo p^N, for a p^N with n - 1 times its
+    bits at most F's bits, n = deg F, has a nonzero resultant with its
+    derivative, of ord below e N, the resultant congruence certifies that
+    F is square-free, and F's one factor is returned, read from the
+    integral cofactor of lc with no fraction-field element.  Past the last
+    copy, a nonzero Res(F, F') taken exactly certifies it in the same way.
+    Otherwise, and for every narrower polynomial, Yun runs on F itself.
+    Either way the identity below is verified exactly on coordinate
+    tuples.  Raises ZeroPolynomial on the zero input.  Constants decompose
+    with an empty factor list.
     """
     return _squarefree_decompose(F)[0]
 
@@ -598,15 +599,17 @@ def _at_working_precision(F: IntPoly, bits: int):
 
     The copy F^, every coordinate of F reduced modulo p^N with balanced
     representatives, is tested by its resultant Res(F^, F^'), for p^N the
-    least power of p past 2^64, 2^128, 2^256, ... while p^N has at most an
-    eighth of F's bits.  When F^ keeps F's degree, the Sylvester
-    determinant gives Res(F, F') = Res(F^, F^') (mod p^N); so a nonzero
-    Res(F^, F^') with ord < e N makes F square-free with the same ord
-    (_square_free).  Every other case, a zero F^, a lower degree or an ord
-    of e N or more (a zero resultant included), goes on to the next
-    precision.  A copy equal to the last one, as when F's coordinates are
-    below p^N apart from terms past every precision, keeps its resultant,
-    whose ord is only capped again at the new e N.
+    least power of p past 2^64, 2^128, 2^256, ... while n - 1 times p^N's
+    bits is at most F's bits, n = deg F: past that a copy's PRS, whose
+    remainders grow by its width at each of n - 1 steps, outgrows F.  When
+    F^ keeps F's degree, the Sylvester determinant gives Res(F, F') =
+    Res(F^, F^') (mod p^N); so a nonzero Res(F^, F^') with ord < e N makes
+    F square-free with the same ord (_square_free).  Every other case, a
+    zero F^, a lower degree or an ord of e N or more (a zero resultant
+    included), goes on to the next precision.  A copy equal to the last
+    one, as when F's coordinates are below p^N apart from terms past every
+    precision, keeps its resultant, whose ord is only capped again at the
+    new e N.
     """
     field = F.field
     p, e, n = field.p, field.e, F.degree
@@ -615,7 +618,7 @@ def _at_working_precision(F: IntPoly, bits: int):
     while True:
         while q >> word == 0:
             q, N = q * p, N + 1
-        if 8 * q.bit_length() > bits:
+        if (n - 1) * q.bit_length() > bits:
             return None
         moduli = _moduli(field, e * N)
         reduced = IntPoly(field, [_balanced(coeff.coords, moduli) for coeff in F.coeffs])

@@ -82,9 +82,9 @@ def roots_in_valuation_ring(G: IntPoly, field: LocalField) -> PadicRootReport:
     return _ring_roots(G, field)
 
 
-def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRootReport:
+def _ring_roots(G: IntPoly, field: LocalField, level: int = 0) -> PadicRootReport:
     """The search of roots_in_valuation_ring for a square-free G of degree
-    at least 1; with pi_ok, the roots in pi O_K only, as the walk starts
+    at least 1; from level 1, the roots in pi O_K only, as the walk starts
     at that class, and search_depth_used is at least 1.
 
     Ords are read only as deep as their comparisons need: with low =
@@ -94,7 +94,7 @@ def _ring_roots(G: IntPoly, field: LocalField, pi_ok: bool = False) -> PadicRoot
     precision takes the exact ord c_0."""
     ord_vec = field._ord_vec
     roots: list[RootApproximation] = []
-    for level, nodes, split in _walk(G, 1, int(pi_ok)):
+    for level, nodes, split in _walk(G, 1, level):
         for point, coeffs, _ in nodes:
             low, k_star = math.inf, 0
             for k in range(len(coeffs) - 1, 0, -1):
@@ -302,7 +302,7 @@ class _SquareFree:
         search would miss the unit roots, so it raises AssertionError."""
         if self.ring.exists:
             raise AssertionError("rev is asked for only when G has no ring root")
-        return _ring_roots(reciprocal(self.poly), self.field, pi_ok=True)
+        return _ring_roots(reciprocal(self.poly), self.field, 1)
 
     @property
     def has_field_root(self) -> bool:

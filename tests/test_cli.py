@@ -8,7 +8,16 @@ import time
 
 import pytest
 
-from padicpowers import IntPoly, constructions, make_field, BASE, EISENSTEIN
+from padicpowers import (
+    BASE,
+    EISENSTEIN,
+    IntPoly,
+    constructions,
+    make_field,
+    oracle_decide,
+    reciprocal,
+    threshold_k0,
+)
 from padicpowers.cli import MAX_EXPONENT, _parse_poly_expr, run
 
 
@@ -106,23 +115,32 @@ def test_exit_code_precondition(capsys):
 
 
 def test_exit_code_budget(capsys):
+    # the quartic's root node splits, so its scan visits 3 nodes by level 1
     code, out, _ = invoke(
         capsys,
-        "decide", "--p", "2", "--ring", "integers", "--coeffs", "1,8",
-        "--budget", "7", "--json",
+        "decide", "--p", "2", "--ring", "integers", "--poly", "4x^4+4x^2+9",
+        "--budget", "1", "--json",
     )
     assert code == 3
-    assert json.loads(out)["error"]["reason"] == "scan-budget-exceeded"
+    error = json.loads(out)["error"]
+    assert error["reason"] == "scan-budget-exceeded"
+    assert error["details"] == {"nodes": "3", "budget": "1"}
 
 
-def test_paper_member_over_q7_runs_out_of_budget(capsys):
-    # make_ck_not_power(Q_7, 2): the root search clears it at once, and the
-    # scan reaches final_m = 7, whose witness system 7^9 exceeds the budget
-    t0 = time.perf_counter()
-    code, out, _ = invoke(capsys, "decide", "--p", "7", "--poly", "(1+7x^7)^7+49", "--json")
-    assert time.perf_counter() - t0 < 10
-    assert code == 3
-    assert json.loads(out)["error"]["reason"] == "scan-budget-exceeded"
+def test_paper_members_decide_at_the_default_budget(capsys):
+    # make_ck_not_power(Q_p, 2) decides as a member with final_m = p at the
+    # default budget, which counts the few nodes its scans visit; the oracle
+    # checks independently that F and its reciprocal take p-th-power values
+    # at every residue modulo p^k0
+    for p in (5, 7, 11, 13, 23):
+        field = make_field(p, BASE)
+        F = constructions.make_ck_not_power(field, 2)
+        expr = f"(1+{p}x^{p})^{p}+{p * p}"
+        assert _parse_poly_expr(expr, field) == F
+        payload = payload_of(capsys, "decide", "--p", str(p), "--poly", expr, "--json")
+        assert (payload["verdict"], payload["final_m"]) == (True, p)
+        k0 = threshold_k0(field)
+        assert oracle_decide(F, field, k0) and oracle_decide(reciprocal(F), field, k0)
 
 
 def test_exit_code_resource_cap(capsys):
@@ -242,8 +260,10 @@ def test_classes_payload_and_table(capsys):
 
 
 def test_counterexample_payload(capsys):
+    # the root -8 of the reciprocal x + 8 is reported with its class 8 Z_2,
+    # whose scan fails at once, at 0, where x + 8 takes 8
     payload = payload_of(capsys, "decide", "--p", "2", "--coeffs", "1,8", "--json")
-    assert payload["counterexample"] == {"point": 2, "class": "10"}
+    assert payload["counterexample"] == {"point": 0, "class": "2"}
 
 
 def test_extension_field_payload(capsys):

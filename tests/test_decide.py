@@ -13,7 +13,6 @@ from padicpowers import decide as decide_module
 from padicpowers import roots as roots_module
 from padicpowers import (
     BASE,
-    DEFAULT_BUDGET,
     BoundsReport,
     DegreeTooSmall,
     IntPoly,
@@ -41,7 +40,10 @@ from padicpowers import (
     oracle_is_pth_power,
     oracle_max_ord,
     reciprocal,
+    reduce_power_free,
     root_multiplicity_report,
+    roots_in_valuation_ring,
+    squarefree_decompose,
     threshold_k0,
     witness_bounds,
 )
@@ -108,8 +110,12 @@ def test_cz_quartic(Q2):
 
 
 def test_cz_budget(Q2):
-    with pytest.raises(ScanBudgetExceeded):
-        decide_CZ(P(Q2, 1, 8), Q2, budget=7)
+    # the budget counts the scan nodes visited: the quartic's root node
+    # splits in two, so three nodes decide it and two do not
+    F = P(Q2, 9, 0, 4, 0, 4)
+    with pytest.raises(ScanBudgetExceeded, match="scan visited 3 nodes, past the budget 2"):
+        decide_CZ(F, Q2, budget=2)
+    assert decide_CZ(F, Q2, budget=3).verdict
 
 
 @pytest.mark.parametrize("entry", [decide_CZ, decide_CK, class_spectrum])
@@ -211,12 +217,14 @@ def test_entry_points_analyse_once(
 def test_scan_out_of_budget_computes_no_resultant(Q2, analysis_calls):
     # the bounds come after the scans, so a decision whose direct or
     # reciprocal scan runs out of budget computes no resultant, and the error
-    # still names the m and M at which the scan stopped
+    # names the nodes the decision's scans visited and the budget.  The Q_13
+    # member pins the one node of each scan; the quartic's direct scan
+    # visits 3 nodes, and its reciprocal scan 3 more
     Q13 = make_field(13, BASE)
     cases = [
-        (decide_CK, make_ck_not_power(Q13, 2), Q13, DEFAULT_BUDGET, {"m": 13, "M": 2}),
-        (decide_CK, P(Q2, *QUARTIC), Q2, 16, {"m": 2, "M": 3}),  # reciprocal scan
-        (decide_CZ, P(Q2, *QUARTIC), Q2, 4, {"m": 0, "M": 3}),
+        (decide_CK, make_ck_not_power(Q13, 2), Q13, 1, {"nodes": 2, "budget": 1}),
+        (decide_CK, P(Q2, *QUARTIC), Q2, 3, {"nodes": 4, "budget": 3}),  # reciprocal scan
+        (decide_CZ, P(Q2, *QUARTIC), Q2, 2, {"nodes": 3, "budget": 2}),
     ]
     for entry, F, field, budget, details in cases:
         analysis_calls.clear()
@@ -227,11 +235,14 @@ def test_scan_out_of_budget_computes_no_resultant(Q2, analysis_calls):
 
 
 def test_ck_rejects_via_reciprocal(Q2):
+    # 1 + 8x has its root -1/8 outside the ring: the scan of the class 8 Z_2
+    # that the report of the reciprocal's root -8 certifies fails at once,
+    # at 0, where the reciprocal x + 8 takes 8
     report = decide_CK(P(Q2, 1, 8), Q2)
     assert not report.verdict
     point, cls = report.counterexample
-    assert point == Q2.element(2)
-    assert cls.label() == "10"
+    assert point == Q2.element(0)
+    assert cls.label() == "2"
 
 
 def test_ck_perfect_square(Q2):
@@ -497,7 +508,7 @@ def assert_counterexample_holds(report, G, field):
     assert class_of(value, field) == cls
 
 
-def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3):
+def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3, E2_w3):
     # Counterexample points follow the scan's visiting order; wherever they
     # fall, each must carry the class it reports.  decide_CK's witness lies
     # on the reciprocal side when F has a root outside the ring or when the
@@ -515,6 +526,37 @@ def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3):
             assert_counterexample_holds(report, reciprocal(F) if mirrored else F, field)
             witnesses += 1
     assert witnesses > 70
+
+    # F_* with a ring root, with a root outside the ring (1 + 8x and its
+    # kind, 1 + pi^j c x), and with a stripped (x - a)^p factor, over all
+    # eight fixture fields: a witness from the scan of a root's class holds
+    # on F, or on reciprocal(F_*) where the root is the reciprocal's, as it
+    # does where the scan of a rootless F_* passes and the reciprocal's fails
+    fields.append(E2_w3)
+    rng = random.Random(127)
+    cases = Counter()
+    for field, G in rootless_power_free_suite(fields, 64, seed=127):
+        a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
+        b = field.uniformizer() ** rng.randint(1, 3) * rng.choice((1, 3, 5))
+        built = {
+            "ring root": G * P(field, -a, 1),
+            "root outside": G * P(field, 1, b),
+            "stripped": P(field, -a, 1) ** field.p * G,
+        }
+        for kind, F in built.items():
+            report = decide_CK(F, field)
+            if report.verdict:
+                assert kind == "stripped" and decide_CK(G, field).verdict
+                continue
+            reduced = reduce_power_free(F, field.p)
+            factors = squarefree_decompose(reduced).factors
+            if any(roots_in_valuation_ring(H, field).exists for H, _ in factors):
+                mirrored = False
+            else:
+                mirrored = has_root_in_field(reduced, field) or decide_CZ(reduced, field).verdict
+            assert_counterexample_holds(report, reciprocal(reduced) if mirrored else F, field)
+            cases[kind, field] += 1
+    assert len(cases) == 3 * len(fields)
 
 
 def test_witnesses_avoid_roots_of_stripped_powers(Q2, Q3, Q5, E2, U2, E2_cube, E3):
@@ -597,9 +639,9 @@ def test_member_sweep_at_smallest_m(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch
     # search prunes F's first node; the p^2 roots of the reciprocal
     # (x^p + pi)^p + pi^m x^(p^2) have ord 1/p, so its search, which starts
     # at pi O_K, prunes that node at once: no node splits.  decide_CK then
-    # either decides or runs out of budget, never fails a precondition:
-    # over Q_7, Q_11 and Q_13 the scan reaches final_m = p, and p^(p + 2)
-    # exceeds the default budget.
+    # decides each as a member at the default budget, which counts the
+    # nodes visited: over Q_7, Q_11 and Q_13 the scan reaches final_m = p
+    # on a few nodes, far fewer than the p^(p + 2) of its witness system.
     splits = Counter()
     children = roots_module._children
 
@@ -615,10 +657,7 @@ def test_member_sweep_at_smallest_m(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch
         splits.clear()
         assert not has_root_in_field(F, field)
         assert not splits, field
-        try:
-            assert decide_CK(F, field).verdict, field
-        except ScanBudgetExceeded:
-            assert field.p >= 7, field
+        assert decide_CK(F, field).verdict, field
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 17, 19, 23))

@@ -904,18 +904,18 @@ def test_working_precision_matches_exact(
             return IntPoly(field, [coeff() for _ in range(degree)] + [top])
 
         a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
-        close = q ** _least_power_past(p, 80)
+        close = q ** _least_power_past(p, 140)
         cases = [
             ("square-free", wide(1, 900), "copy"),
             ("square-free", wide(3, 700), "copy"),
             ("square-free", wide(2, 2900, top=3), "copy"),
             ("G1^2 G2", wide(1, 300, top=2) ** 2 * wide(2, 300), "yun"),
-            # two roots p^k apart, p^k >= 2^80: ord Res(F, F') >= 2 e k exceeds
-            # e N at the first precision, the only one under the cap
+            # two roots p^k apart, p^k >= 2^140: ord Res(F, F') >= 2 e k exceeds
+            # e N at p^N >= 2^256, the last precision under the cap
             ("ord past the cap", P(field, -a, 1) * P(field, -a - close, 1) * wide(2, 700), "exact"),
-            # the degree drops at the first precision, and a 1,100-bit F
-            # goes on to p^N >= 2^128
-            ("lc in p^N", wide(3, 700, top=pN), "exact"),
+            # the degree drops at the first precision, and F goes on to
+            # p^N >= 2^128, as twice its bits is at most F's
+            ("lc in p^N", wide(3, 700, top=pN), "copy"),
             ("lc in p^N", wide(3, 1100, top=pN * 3), "copy"),
             ("F in p^N", wide(3, 700) * pN, "exact"),
         ]
@@ -939,6 +939,26 @@ def test_working_precision_matches_exact(
             if res_ord is not None:
                 G = dec.factors[0][0]
                 assert res_ord == exact_res_ord == resultant(G, G.derivative()).ord()
+
+
+def test_wide_repeated_factor_of_high_degree_takes_no_copy(Q2, exact_calls, monkeypatch):
+    # (x + 1)^600 has 596-bit coefficients, and every copy of it modulo p^N
+    # is square-free, so a copy's PRS would run all 599 steps, its
+    # coefficients growing by the copy's width at each: 599 times the 65
+    # bits of the first precision past 2^64 exceed F's bits, so the ladder
+    # takes no copy, and Res(F, F') = 0, taken exactly, sends F to Yun
+    F = P(Q2, 1, 1) ** 600
+    exact_resultant = polyring.resultant
+
+    def refused(A, B):
+        assert A == F, "a copy of F took a resultant"
+        return exact_resultant(A, B)
+
+    monkeypatch.setattr(polyring, "resultant", refused)
+    dec, res_ord = polyring._squarefree_decompose(F)
+    assert F.height.bit_length() > 512
+    assert dec.factors == ((P(Q2, 1, 1), 600),) and res_ord is None
+    assert exact_calls == [F]
 
 
 def test_repeated_copy_takes_one_resultant(Q3, monkeypatch):
