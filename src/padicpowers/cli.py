@@ -39,11 +39,12 @@ from .powerclasses import class_of, enumerate_classes, is_pth_power, threshold_k
 __all__ = ["main", "run"]
 
 # Largest exponent accepted after ^ in a polynomial expression, counted in
-# degrees for a non-constant base (so nested powers are bounded too).  The
-# expansion cost grows faster than the degree, and an unbounded exponent
-# such as x^99999999999 would never finish expanding.  1,024 admits the
-# paper's members that `construct ck-not-power` prints through p = 31, of
-# degree p^2.
+# degrees for a non-constant base (so nested powers are bounded too), and
+# the largest degree a product of factors may reach.  The expansion cost
+# grows faster than the degree, and an unbounded exponent such as
+# x^99999999999, or a chain of products of powers each within the limit,
+# would never finish expanding.  1,024 admits the paper's members that
+# `construct ck-not-power` prints through p = 31, of degree p^2.
 MAX_EXPONENT = 1024
 
 
@@ -147,7 +148,7 @@ def _parse_poly_expr(text: str, field: LocalField) -> IntPoly:
             if not isinstance(exponent, int):
                 raise _UsageError("exponent must be a plain integer")
             take()
-            degree = 0 if base.is_zero else base.degree
+            degree = _degree(base)
             if max(degree, 1) * exponent > MAX_EXPONENT:
                 raise _UsageError(
                     f"power of degree {degree} to the {exponent} exceeds the "
@@ -162,11 +163,15 @@ def _parse_poly_expr(text: str, field: LocalField) -> IntPoly:
             tok = peek()
             if tok == "*":
                 take()
-                value = value * power()
-            elif isinstance(tok, int) or tok in ("x", "t", "("):
-                value = value * power()
-            else:
+            elif not (isinstance(tok, int) or tok in ("x", "t", "(")):
                 return value
+            factor = power()
+            degree = _degree(value) + _degree(factor)
+            if degree > MAX_EXPONENT:
+                raise _UsageError(
+                    f"product of degree {degree} exceeds the exponent limit {MAX_EXPONENT}"
+                )
+            value = value * factor
 
     def expr() -> IntPoly:
         sign = 1
@@ -185,11 +190,18 @@ def _parse_poly_expr(text: str, field: LocalField) -> IntPoly:
     return result
 
 
+def _degree(F: IntPoly) -> int:
+    return 0 if F.is_zero else F.degree
+
+
 def _parse_poly(args: argparse.Namespace, field: LocalField) -> IntPoly:
     if getattr(args, "coeffs", None) is not None:
         return IntPoly(field, _parse_int_list(args.coeffs))
     if getattr(args, "poly", None) is not None:
-        return _parse_poly_expr(args.poly, field)
+        try:
+            return _parse_poly_expr(args.poly, field)
+        except RecursionError:
+            raise _UsageError("polynomial nests too deeply to parse") from None
     raise _UsageError("one of --poly or --coeffs is required")
 
 

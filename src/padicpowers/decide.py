@@ -12,9 +12,10 @@ the ring-root search: a residue class a + pi^L O_K carries the coefficients
 of F(a + pi^L y), and it is pinned once every higher coefficient has ord at
 least the constant term's ord plus the congruence threshold M, since F then
 keeps one ord and one power class on the whole class.  The scan splits
-exactly the classes that are not yet pinned.  Where F's power-free part
-has a root in the field, the counterexample comes from the same scan, run
-on the residue class of that root only.  budget bounds the scan nodes a
+exactly the classes that are not yet pinned.  A constant power-free part
+is one pinned node, O_K itself, of the same scan.  Where F's power-free
+part has a root in the field, the counterexample comes from the same scan,
+run on the residue class of that root only.  budget bounds the scan nodes a
 decision visits, over all its scans.  witness_count is the size
 p^(f(m + M)) of the residue system that certifies a scan whose largest ord
 is m, summed over the scans of a decision, an invariant of F, not the
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -75,8 +75,9 @@ class BoundsReport(NamedTuple):
     kras_upper bounds the Krasner constant from the discriminant; it is None
     when no square-free part of degree >= 2 exists.  max_ord_bound bounds
     ord F(a) over the valuation ring.  cardA_log_p bounds log_p of the
-    witness-set size.  pejkovic_log_p is the height-based exponent, populated
-    only for rational-integer inputs over the base field.
+    witness-set size of one scan; a C_K report's witness_count sums two
+    scans, each within it.  pejkovic_log_p is the height-based exponent,
+    populated only for rational-integer inputs over the base field.
     """
 
     kras_upper: Optional[Rational]
@@ -97,10 +98,11 @@ class DecisionReport(NamedTuple):
 
     witness_count is p^(f(m + M)) for the direct scan's largest ord m, plus
     for decide_CK p^(f(m' + M)) for the reciprocal scan's largest ord m'
-    on pi O_K (on O_K when p does not divide deg F_*).  final_m is the
-    larger of m and m'.  A decision that ends in the scan of the class of
-    a field root of F_* scans neither, and reports final_m 0, witness_count
-    0 and no bounds.
+    on pi O_K (on O_K when p does not divide deg F_*), a constant F_*
+    included: a sum of two scans, each within bounds.cardA_log_p, which
+    bounds one.  final_m is the larger of m and m'.  A decision that ends
+    in the scan of the class of a field root of F_* scans neither, and
+    reports final_m 0, witness_count 0 and no bounds.
     """
 
     verdict: bool
@@ -313,46 +315,28 @@ def _report(
     counterexample was found.  A verdict reached without a scan of F_*,
     membership of the zero polynomial (0 = 0^p, in both classes) or a
     counterexample from the class of a field root, keeps the defaults: no
-    witnesses and no bounds."""
+    witnesses and no bounds.  Every other F_*, a constant included, is
+    scanned and reports its scans' witnesses and bounds."""
     verdict = counterexample is None
     return DecisionReport(
         verdict, class_tested, M, final_m, witness_count, counterexample, m_history, bounds
     )
 
 
-def _constant_report(analysis: _Analysis, M: int, class_tested: str) -> DecisionReport:
-    """_scan_report of an F whose power-free part F_* is a nonzero constant
-    c of ord v, which needs no scan.  The counterexample, when needed, is
-    probed on F, the caller's polynomial, at the first integer point where
-    it does not vanish; the value class there equals c's class.  F_* has no
-    factors, so its scan bounds are those of c: no Krasner bound, max ord v
-    and log-size f(v + M)."""
-    power_free, F, field = analysis.power_free, analysis.F, analysis.field
-    c = power_free.F.constant
-    v = c.ord()
-    counterexample = None
-    if not is_pth_power(c, field):
-        a = next(a for a in map(field.element, count()) if F(a))
-        counterexample = (a, class_of(F(a), field))
-    bounds = _scan_bounds(power_free, M)
-    return _report(class_tested, M, counterexample, v, _witness_size(field, v, M), (v,), bounds)
-
-
 def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
     """Scan of F_*, F's power-free part, without ring roots, and for C_K,
-    once F_* passes, of its reciprocal; a constant F_* needs no scan
-    (_constant_report).  When p divides d = deg F_*, x^d is a p-th power
-    at a unit x, so the reciprocal's class there is F_*'s class at 1/x,
-    which the direct scan has covered: the reciprocal is scanned on pi O_K
-    only.  Otherwise it is scanned on all of O_K, so that a failure at a
-    unit is still named.  A direct scan that fails where F = 0, at a root
-    a of a stripped H^p, goes on with the scan of F on a + pi O_K
-    (_class_scan).  The bounds come after the scans, so that a scan out of
-    budget computes no resultant."""
+    once F_* passes, of its reciprocal; a constant F_* is one pinned node
+    of each scan.  When p divides d = deg F_*, x^d is a p-th power at a
+    unit x, so the reciprocal's class there is F_*'s class at 1/x, which
+    the direct scan has covered: the reciprocal is scanned on pi O_K only.
+    Otherwise it is scanned on all of O_K, so that a failure at a unit is
+    still named.  A direct scan that fails where F = 0, at a root a of a
+    stripped H^p, goes on with the scan of F on a + pi O_K (_class_scan),
+    as a constant F_* = c of F = c H^p with H(0) = 0 does.  The bounds
+    come after the scans, so that a scan out of budget computes no
+    resultant."""
     power_free, field = analysis.power_free, analysis.field
     F = power_free.F
-    if F.degree == 0:
-        return _constant_report(analysis, M, class_tested)
     final_m, history, counterexample, _, visited = _scan(F, field, M, budget, False)
     if counterexample and power_free is not analysis and not analysis.F(counterexample[0]):
         counterexample = _class_scan(analysis.F, counterexample[0], 1, M, budget, visited)
@@ -476,8 +460,6 @@ def class_spectrum(
     reduced = analysis.power_free.F
     rooted = [mult for factor, mult in analysis.factors if factor.has_field_root]
     attains_zero = bool(rooted)
-    if reduced.degree == 0:
-        return {class_of(reduced.constant, field)}, attains_zero
     if any(mult % field.p for mult in rooted):
         raise PreconditionRootInField(
             "the power-free part has a root in the field; the scan cannot pin classes near it"

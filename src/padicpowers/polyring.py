@@ -26,10 +26,11 @@ G^m is checked, on coordinate tuples; the one factor of a certified
 square-free F is read from the integral cofactor of lc(F), with no
 fraction-field element.
 
-Evaluation, the inner loop of every scan, runs Horner on coordinates:
-plain integers over the base field, reduced coordinate tuples through
-LocalField._mul_vec over extensions.  Products of polynomials convolve
-coordinate tuples through the same kernel.  Resultants run one subresultant
+Evaluation is pass 0 of _shift, the synthetic division by y - r that
+builds the Taylor nodes of roots._walk: Horner's rule on reduced
+coordinate tuples through LocalField._mul_vec, the one-coordinate tuples
+of the base field included.  Products of polynomials convolve coordinate
+tuples through the same kernel.  Resultants run one subresultant
 remainder sequence on coordinate tuples over Z[t]/(g), with the base field
 as the one-coordinate case Z.  A divisor b that is not a rational integer
 is inverted once, as the same integral cofactor: adj b with b adj b = d, d
@@ -197,17 +198,11 @@ class IntPoly:
 
     def __call__(self, x: CoeffLike) -> OKElem:
         field = self.field
-        xs = field.element(x).coords
-        if field.degree == 1:
-            xv, acc = xs[0], 0
-            for c in reversed(self.coeffs):
-                acc = acc * xv + c.coords[0]
-            return OKElem(field, (acc,))
-        coeffs = self.coeffs
-        vec = coeffs[-1].coords if coeffs else (0,) * field.degree
-        for c in reversed(coeffs[:-1]):
-            vec = tuple(map(operator.add, field._mul_vec(vec, xs), c.coords))
-        return OKElem(field, vec)
+        coords = [c.coords for c in self.coeffs]
+        if not coords:
+            return field.zero()
+        _shift(coords, field.element(x).coords, 0, 1, field._mul_vec)
+        return OKElem(field, coords[0])
 
     def derivative(self) -> "IntPoly":
         return IntPoly(self.field, tuple(c * i for i, c in enumerate(self.coeffs) if i))
@@ -254,6 +249,22 @@ def _convolve(a: list, b: list, mul) -> list:
             for j, y in terms:
                 out[i + j] = tuple(map(operator.add, out[i + j], mul(x, y)))
     return out
+
+
+def _shift(c: list, r: tuple[int, ...], start: int, stop: int, mul) -> None:
+    """Passes start..stop - 1 of the synthetic divisions of c, coefficient
+    coordinates low degree first, by y - r, in place: after passes 0..d -
+    1, c holds the coefficients of the polynomial at y + r, and pass 0
+    alone, Horner's rule, puts its value at r in c_0: IntPoly.__call__ is
+    that pass, and the Taylor nodes of roots._walk run all of them.  Pass
+    0 skips each zero c_(j+1), which adds nothing to c_j.  The later
+    passes test none: c_d and r are nonzero there, so a zero needs a
+    cancellation."""
+    top = len(c) - 2
+    for i in range(start, stop):
+        for j in range(top, i - 1, -1):
+            if i or any(c[j + 1]):
+                c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r)))
 
 
 def reciprocal(F: IntPoly) -> IntPoly:

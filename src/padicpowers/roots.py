@@ -28,6 +28,7 @@ from .polyring import (
     IntPoly,
     SquareFreeDecomposition,
     _power_free_part,
+    _shift,
     _squarefree_decompose,
     reciprocal,
     resultant,
@@ -186,20 +187,6 @@ def _node(G: IntPoly, level: int, a: OKElem | None) -> tuple[list, OKElem]:
             scales.append(mul(scales[-1], shift.coords))
     coeffs[1:] = [mul(x, s) if any(x) else x for x, s in zip(coeffs[1:], scales[1:])]
     return coeffs, shift
-
-
-def _shift(c: list, r: tuple[int, ...], start: int, stop: int, mul) -> None:
-    """Passes start..stop - 1 of the synthetic divisions of c, coefficient
-    coordinates low degree first, by y - r, in place: after passes 0..d -
-    1, c holds the coefficients of the polynomial at y + r, and pass 0
-    alone puts its value at r in c_0.  Pass 0 skips each zero c_(j+1),
-    which adds nothing to c_j.  After it no coefficient is zero, as c_d
-    and r are not, so the later passes test none."""
-    top = len(c) - 2
-    for i in range(start, stop):
-        for j in range(top, i - 1, -1):
-            if i or any(c[j + 1]):
-                c[j] = tuple(map(operator.add, c[j], mul(c[j + 1], r)))
 
 
 @lru_cache(maxsize=64)

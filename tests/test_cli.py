@@ -59,6 +59,11 @@ def test_expr_parser_usage_errors(capsys):
     code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "x + y")
     assert code == 64
     assert "usage" in err
+    # nesting past the interpreter's recursion limit is refused, not a crash
+    deep = "(" * 300 + "x" + ")" * 300
+    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", deep)
+    assert code == 64
+    assert "nests too deeply" in err
 
 
 def test_exponent_limit_is_usage_error(capsys):
@@ -71,8 +76,15 @@ def test_exponent_limit_is_usage_error(capsys):
     # nested powers are bounded by the degree they would reach
     code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "((x+1)^32)^33")
     assert code == 64
+    # and products by the degree they would reach, before they are expanded
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, "decide", "--p", "2", "--poly", "(x+1)^1024*" * 8 + "x")
+    assert time.perf_counter() - t0 < 5
+    assert code == 64
+    assert "exponent limit" in err
     Q2 = make_field(2, BASE)
     assert _parse_poly_expr(f"x^{MAX_EXPONENT}", Q2).degree == MAX_EXPONENT
+    assert _parse_poly_expr("(x+1)^512*(x+1)^512", Q2).degree == MAX_EXPONENT
 
 
 def test_paper_member_round_trips_through_the_cli(capsys):

@@ -94,12 +94,14 @@ def test_cz_one_plus_8x(Q2):
 
 
 def test_cz_constant_counterexample(Q3):
-    report = decide_CZ(P(Q3, 3), Q3)
+    # the scan of a constant is one pinned node, O_K itself, and like every
+    # failing scan it returns at that node before it records the node's ord
+    F = P(Q3, 3)
+    report = decide_CZ(F, Q3)
     assert not report.verdict
-    point, cls = report.counterexample
-    assert point == Q3.element(0)
-    assert cls.label() == "3"
-    assert (report.final_m, report.witness_count) == (1, 27)
+    assert_counterexample_holds(report, F, Q3)
+    assert report.counterexample[1].label() == "3"
+    assert (report.final_m, report.witness_count) == (0, 9)
 
 
 def test_cz_quartic(Q2):
@@ -353,19 +355,35 @@ def test_scan_bounds_hold_on_fixtures(Q2, Q3):
 
 def test_ck_constant_power_free_part(Q2, Q3):
     # 3x^3 over Q_3 and 2x^2 over Q_2 strip x^p to the constants 3 and 2,
-    # which are no p-th powers: the counterexample is F's first integer
-    # point where F does not vanish, 1, and the bounds are the constant's,
-    # no Krasner bound, max ord its ord 1 and log-size f(1 + M)
+    # which are no p-th powers.  The scan of the constant fails at its one
+    # node, at 0, where F vanishes, so the scan of F on pi O_K names the
+    # witness; the bounds are the constant's, no Krasner bound, max ord its
+    # ord 1 and log-size f(1 + M)
     for field, F, label, count, card in (
-        (Q3, P(Q3, 0, 0, 0, 3), "3", 27, 3),
-        (Q2, P(Q2, 0, 0, 2), "2", 16, 4),
+        (Q3, P(Q3, 0, 0, 0, 3), "3", 9, 3),
+        (Q2, P(Q2, 0, 0, 2), "2", 8, 4),
     ):
         report = decide_CK(F, field)
         assert not report.verdict
-        point, cls = report.counterexample
-        assert (point, cls.label()) == (field.element(1), label)
-        assert (report.final_m, report.m_history, report.witness_count) == (1, (1,), count)
+        assert_counterexample_holds(report, F, field)
+        assert report.counterexample[1].label() == label
+        assert (report.final_m, report.m_history, report.witness_count) == (0, (0,), count)
         assert report.bounds == BoundsReport(None, 1, card, None)
+
+
+def test_ck_constant_member_sums_both_scans(Q2, Q3):
+    # 8x^3 and 27x^3 over Q_3 and 9x^2 over Q_2 strip x^p to constants that
+    # are p-th powers: the constant's scan on O_K and its reciprocal's on
+    # pi O_K each pin one node of ord v, so witness_count is twice p^(f(v + M))
+    for field, F, v in (
+        (Q3, P(Q3, 0, 0, 0, 8), 0),
+        (Q3, P(Q3, 0, 0, 0, 27), 3),
+        (Q2, P(Q2, 0, 0, 9), 0),
+    ):
+        report = decide_CK(F, field)
+        assert report.verdict
+        assert (report.final_m, report.m_history) == (v, tuple(sorted({0, v})))
+        assert report.witness_count == 2 * field.p ** (field.f * (v + report.M))
 
 
 def test_scan_bounds_of_two_factors(Q2):
@@ -528,20 +546,24 @@ def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3, E
     assert witnesses > 70
 
     # F_* with a ring root, with a root outside the ring (1 + 8x and its
-    # kind, 1 + pi^j c x), and with a stripped (x - a)^p factor, over all
-    # eight fixture fields: a witness from the scan of a root's class holds
-    # on F, or on reciprocal(F_*) where the root is the reciprocal's, as it
-    # does where the scan of a rootless F_* passes and the reciprocal's fails
+    # kind, 1 + pi^j c x), with a stripped (x - a)^p factor, and the
+    # constant F_* = c of c (x - a)^p, c no p-th power, over all eight
+    # fixture fields: a witness from the scan of a root's class holds on F,
+    # or on reciprocal(F_*) where the root is the reciprocal's, as it does
+    # where the scan of a rootless F_* passes and the reciprocal's fails
     fields.append(E2_w3)
-    rng = random.Random(127)
+    rng, constants = random.Random(127), random.Random(131)
     cases = Counter()
     for field, G in rootless_power_free_suite(fields, 64, seed=127):
         a = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
         b = field.uniformizer() ** rng.randint(1, 3) * rng.choice((1, 3, 5))
+        reps = [cls.rep for cls in enumerate_classes(field)]
+        c = constants.choice([r for r in reps if not is_pth_power(r, field)])
         built = {
             "ring root": G * P(field, -a, 1),
             "root outside": G * P(field, 1, b),
             "stripped": P(field, -a, 1) ** field.p * G,
+            "constant": P(field, -a, 1) ** field.p * c,
         }
         for kind, F in built.items():
             report = decide_CK(F, field)
@@ -556,7 +578,7 @@ def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3, E
                 mirrored = has_root_in_field(reduced, field) or decide_CZ(reduced, field).verdict
             assert_counterexample_holds(report, reciprocal(reduced) if mirrored else F, field)
             cases[kind, field] += 1
-    assert len(cases) == 3 * len(fields)
+    assert len(cases) == 4 * len(fields)
 
 
 def test_witnesses_avoid_roots_of_stripped_powers(Q2, Q3, Q5, E2, U2, E2_cube, E3):
