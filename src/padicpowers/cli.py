@@ -227,9 +227,7 @@ def _ser_poly(F: IntPoly) -> dict:
     return {"coeffs": [_ser_elem(c) for c in F.coeffs], "str": str(F)}
 
 
-def _ser_bounds(bounds: Optional[BoundsReport]):
-    if bounds is None:
-        return None
+def _ser_bounds(bounds: BoundsReport):
     payload = {
         "kras_upper": _ser_rational(bounds.kras_upper),
         "max_ord_bound": _ser_rational(bounds.max_ord_bound),
@@ -257,7 +255,6 @@ def _decision_payload(report: DecisionReport, field: LocalField) -> dict:
         point, cls = report.counterexample
         payload["counterexample"] = {"point": _ser_elem(point), "class": cls.label()}
     payload["m_history"] = list(report.m_history)
-    payload["bounds"] = _ser_bounds(report.bounds)
     return payload
 
 

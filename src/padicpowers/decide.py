@@ -13,17 +13,19 @@ of F(a + pi^L y), and it is pinned once every higher coefficient has ord at
 least the constant term's ord plus the congruence threshold M, since F then
 keeps one ord and one power class on the whole class.  The scan splits
 exactly the classes that are not yet pinned.  A constant power-free part
-is one pinned node, O_K itself, of the same scan.  Where F's power-free
-part has a root in the field, the counterexample comes from the same scan,
-run on the residue class of that root only.  budget bounds the scan nodes a
-decision visits, over all its scans.  witness_count is the size
-p^(f(m + M)) of the residue system that certifies a scan whose largest ord
-is m, summed over the scans of a decision, an invariant of F, not the
-number of nodes visited.
+is one pinned node, O_K itself, of the same scan.  The direct scan fails
+within p levels of a root of the power-free part in the ring, so decide_CZ
+searches for no root.  Where the power-free part has a root in the field,
+decide_CK takes the counterexample from the same scan, run on the residue
+class of that root only.  budget bounds the scan nodes a decision visits,
+over all its scans.  witness_count is the size p^(f(m + M)) of the residue
+system that certifies a scan whose largest ord is m, summed over the scans
+of a decision, an invariant of F, not the number of nodes visited.
 
 Quantitative bounds (the Krasner-constant upper bound, the witness-set
 cardinality exponent and the height-based exponent for integer inputs) are
-computed from resultants and attached to every scan report.
+computed from resultants by witness_bounds and krasner_upper_bound, on
+request only: no verdict reads them, and a report carries none.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import (
     DegreeTooSmall,
     NotSquareFree,
-    PreconditionNotPowerFree,
     PreconditionRootInField,
-    PreconditionRootInRing,
     ScanBudgetExceeded,
     ZeroPolynomial,
 )
@@ -70,7 +70,8 @@ Rational = Union[int, Fraction]
 
 
 class BoundsReport(NamedTuple):
-    """Quantitative certificates attached to a decision.
+    """Quantitative bounds of a polynomial with no root in the field, as
+    witness_bounds computes them.
 
     kras_upper bounds the Krasner constant from the discriminant; it is None
     when no square-free part of degree >= 2 exists.  max_ord_bound bounds
@@ -99,10 +100,10 @@ class DecisionReport(NamedTuple):
     witness_count is p^(f(m + M)) for the direct scan's largest ord m, plus
     for decide_CK p^(f(m' + M)) for the reciprocal scan's largest ord m'
     on pi O_K (on O_K when p does not divide deg F_*), a constant F_*
-    included: a sum of two scans, each within bounds.cardA_log_p, which
-    bounds one.  final_m is the larger of m and m'.  A decision that ends
-    in the scan of the class of a field root of F_* scans neither, and
-    reports final_m 0, witness_count 0 and no bounds.
+    included.  final_m is the larger of m and m'.  The residue system of
+    each scan is the certificate of the verdict.  A decide_CK that ends in
+    the scan of the class of a field root of F_* scans neither, and
+    reports final_m 0 and witness_count 0.
     """
 
     verdict: bool
@@ -112,7 +113,6 @@ class DecisionReport(NamedTuple):
     witness_count: int
     counterexample: Optional[tuple[OKElem, PowerClassId]]
     m_history: tuple[int, ...]
-    bounds: Optional[BoundsReport]
 
 
 # ---------------------------------------------------------------------------
@@ -184,40 +184,6 @@ def witness_bounds(F: IntPoly, field: LocalField) -> BoundsReport:
         max_ord_bound=max_ord,
         cardA_log_p=card,
         pejkovic_log_p=pejkovic,
-    )
-
-
-def _scan_bounds(analysis: _Analysis, M: int) -> BoundsReport:
-    """Bound package valid under the weaker scan precondition (no roots in
-    the valuation ring only), for F = lambda * prod G^mult over its
-    square-free factors.  Per-factor: a rootless linear factor has the
-    constant ord of its constant term on the ring; a factor of degree >= 2
-    exceeds ord lc(G) by at most deg(G) times its own Krasner bound, clamped
-    at 0 to absorb non-integral roots.  The factors' leading coefficients
-    cancel against lambda = lc(F) / prod lc(G)^mult exactly.  cardA_log_p
-    is the log-size of the deepest witness system the scan can reach.
-    kras_upper is the radical's Krasner bound: a single factor is its own
-    radical, and its bound is computed once.
-    """
-    bound = Fraction(analysis.F.lc.ord())
-    kras_upper = None
-    for factor, mult in analysis.factors:
-        G = factor.poly
-        if G.degree == 1:
-            contribution = Fraction(G.constant.ord() - G.lc.ord())
-        else:
-            kras_upper = _krasner(G, factor.res_ord)
-            contribution = G.degree * max(kras_upper, Fraction(0))
-        bound += mult * contribution
-    if len(analysis.factors) > 1:  # else the radical is the one factor, bounded above
-        rad = analysis.radical
-        kras_upper = _krasner(rad.poly, rad.res_ord)
-    card = Fraction(analysis.field.f * (math.floor(bound) + M))
-    return BoundsReport(
-        kras_upper=kras_upper,
-        max_ord_bound=bound,
-        cardA_log_p=card,
-        pejkovic_log_p=None,
     )
 
 
@@ -309,32 +275,32 @@ def _class_scan(P: IntPoly, a: OKElem, level: int, M: int, budget: int, visited:
 
 
 def _report(
-    class_tested: str, M: int, counterexample, final_m=0, witness_count=0, m_history=(), bounds=None
+    class_tested: str, M: int, counterexample, final_m=0, witness_count=0, m_history=()
 ) -> DecisionReport:
     """The report of a decision: the verdict is membership exactly when no
     counterexample was found.  A verdict reached without a scan of F_*,
     membership of the zero polynomial (0 = 0^p, in both classes) or a
     counterexample from the class of a field root, keeps the defaults: no
-    witnesses and no bounds.  Every other F_*, a constant included, is
-    scanned and reports its scans' witnesses and bounds."""
+    witnesses.  Every other F_*, a constant included, is scanned and
+    reports its scans' witnesses."""
     verdict = counterexample is None
     return DecisionReport(
-        verdict, class_tested, M, final_m, witness_count, counterexample, m_history, bounds
+        verdict, class_tested, M, final_m, witness_count, counterexample, m_history
     )
 
 
 def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) -> DecisionReport:
-    """Scan of F_*, F's power-free part, without ring roots, and for C_K,
-    once F_* passes, of its reciprocal; a constant F_* is one pinned node
-    of each scan.  When p divides d = deg F_*, x^d is a p-th power at a
-    unit x, so the reciprocal's class there is F_*'s class at 1/x, which
-    the direct scan has covered: the reciprocal is scanned on pi O_K only.
-    Otherwise it is scanned on all of O_K, so that a failure at a unit is
-    still named.  A direct scan that fails where F = 0, at a root a of a
+    """Scan of F_*, F's power-free part, and for C_K, once F_* passes, of
+    its reciprocal; a constant F_* is one pinned node of each scan.  When p
+    divides d = deg F_*, x^d is a p-th power at a unit x, so the
+    reciprocal's class there is F_*'s class at 1/x, which the direct scan
+    has covered: the reciprocal is scanned on pi O_K only.  Otherwise it is
+    scanned on all of O_K, so that a failure at a unit is still named.  A
+    root of F_* in the ring leaves its node unpinned, so the direct scan
+    fails within p levels of it (_class_scan), and no root search is
+    needed.  A direct scan that fails where F = 0, at a root a of a
     stripped H^p, goes on with the scan of F on a + pi O_K (_class_scan),
-    as a constant F_* = c of F = c H^p with H(0) = 0 does.  The bounds
-    come after the scans, so that a scan out of budget computes no
-    resultant."""
+    as a constant F_* = c of F = c H^p with H(0) = 0 does."""
     power_free, field = analysis.power_free, analysis.field
     F = power_free.F
     final_m, history, counterexample, _, visited = _scan(F, field, M, budget, False)
@@ -348,8 +314,7 @@ def _scan_report(analysis: _Analysis, M: int, budget: int, class_tested: str) ->
         final_m = max(final_m, rev_m)
         witness_count += _witness_size(field, rev_m, M)
         history = tuple(sorted(set(history) | set(rev_history)))
-    bounds = _scan_bounds(power_free, M)
-    return _report(class_tested, M, counterexample, final_m, witness_count, history, bounds)
+    return _report(class_tested, M, counterexample, final_m, witness_count, history)
 
 
 def decide_CZ(
@@ -360,14 +325,14 @@ def decide_CZ(
 ) -> DecisionReport:
     """Does F map the whole valuation ring into the p-th powers?
 
-    Precondition: F p-th-power-free and without roots in the valuation
-    ring; the zero polynomial is a member (0 is a p-th power).  The scan
-    splits residue classes until F's Taylor expansion pins each one; a
-    member's final_m is the largest ord F takes on the ring, and the
-    residue system modulo pi^(final_m + M), of size p^(f*(final_m + M)) =
-    witness_count, certifies the verdict.  A scan that visits more than
-    budget nodes raises ScanBudgetExceeded; a budget below 1 raises
-    ValueError.
+    Every F is answered, roots and p-th-power factors included; the zero
+    polynomial is a member (0 is a p-th power).  The scan of F's power-free
+    part F_*, the direct half of decide_CK, splits residue classes until
+    the Taylor expansion of F_* pins each one; a member's final_m is the
+    largest ord F_* takes on the ring, and the residue system modulo
+    pi^(final_m + M), of size p^(f*(final_m + M)) = witness_count,
+    certifies the verdict.  A scan that visits more than budget nodes
+    raises ScanBudgetExceeded; a budget below 1 raises ValueError.
     """
     _check_budget(budget)
     return _decide_CZ(_analyse(F, field), budget)
@@ -375,16 +340,9 @@ def decide_CZ(
 
 def _decide_CZ(analysis: _Analysis, budget: int) -> DecisionReport:
     """decide_CZ of F, given its record."""
-    F, field = analysis.F, analysis.field
-    M = threshold_k0(field)
-    if F.is_zero:
+    M = threshold_k0(analysis.field)
+    if analysis.F.is_zero:
         return _report("C_ZK", M, None)
-    if any(mult >= field.p for _, mult in analysis.factors):
-        raise PreconditionNotPowerFree(
-            "apply reduce_power_free first: a factor has multiplicity >= p"
-        )
-    if any(factor.ring.exists for factor, _ in analysis.factors):
-        raise PreconditionRootInRing("polynomial has a root in the valuation ring")
     return _scan_report(analysis, M, budget, "C_ZK")
 
 

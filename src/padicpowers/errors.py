@@ -81,16 +81,8 @@ class PreconditionError(PadicError):
     reason = "precondition"
 
 
-class PreconditionRootInRing(PreconditionError):
-    reason = "root-in-ring"
-
-
 class PreconditionRootInField(PreconditionError):
     reason = "root-in-field"
-
-
-class PreconditionNotPowerFree(PreconditionError):
-    reason = "not-power-free"
 
 
 class PreconditionNotMember(PreconditionError):

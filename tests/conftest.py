@@ -103,7 +103,8 @@ def rootless_power_free_suite(fields, count, *, max_degree=4, height=10, seed=SU
 
     Rejection sampling: draw integer coefficients in [-height, height] and
     keep F only when it is power-free and no square-free factor has a root
-    in the valuation ring (the preconditions of the scan deciders).
+    in the valuation ring, the inputs on which criterion 11's bound on ord F
+    holds.
     """
     rng = random.Random(seed)
     out = []

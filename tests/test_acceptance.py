@@ -9,6 +9,7 @@ the decision reports produced by criteria 4 and 7.
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -25,12 +26,14 @@ from padicpowers import (
     decide_CZ,
     enumerate_classes,
     is_perfect_pth_power_poly,
+    krasner_upper_bound,
     make_ck_not_power,
     make_cz_not_ck,
     oracle_decide,
     reciprocal,
     resultant,
     same_class,
+    squarefree_decompose,
     stability_radius,
     threshold_k0,
 )
@@ -51,9 +54,10 @@ def _done(num: int, ok: bool, elapsed: float, limit: float | None) -> None:
         assert elapsed < limit
 
 
-# shared state: the random suite and the decide_CZ reports seen so far
+# shared state: the random suite and the decide_CZ inputs and reports seen
+# so far
 _SUITE: list | None = None
-_CZ_RUNS: list[tuple[object, object]] = []
+_CZ_RUNS: list[tuple[object, object, object]] = []
 
 
 def _suite(Q2, Q3):
@@ -101,7 +105,7 @@ def test_criterion_04_cz_without_ck(Q2, Q3, E2):
     for field in (Q2, Q3, E2):
         F = make_cz_not_ck(field)
         cz = decide_CZ(F, field)
-        _CZ_RUNS.append((field, cz))
+        _CZ_RUNS.append((field, F, cz))
         ok = ok and cz.verdict is True and decide_CK(F, field).verdict is False
     elapsed = time.perf_counter() - t0
     _done(4, ok, elapsed, 10.0)
@@ -136,7 +140,7 @@ def test_criterion_07_oracle_differential(Q2, Q3):
     agreements = 0
     for field, F in _suite(Q2, Q3):
         report = decide_CZ(F, field)
-        _CZ_RUNS.append((field, report))
+        _CZ_RUNS.append((field, F, report))
         depth = report.final_m + report.M + 2
         if oracle_decide(F, field, depth) == report.verdict:
             agreements += 1
@@ -193,22 +197,40 @@ def test_criterion_10_integer_approximation(Q2, Q3):
     _done(10, ok, elapsed, 60.0)
 
 
+def _max_ord_bound(F):
+    """A bound on ord F over the valuation ring of a power-free F whose
+    factors have no root there, from the public decomposition and Krasner
+    bound alone: ord lc(F), plus per square-free factor G its multiplicity
+    times ord G(0) - ord lc(G) when G is linear (its root lies outside the
+    ring, so ord G is that of G(0) on the ring) and deg G * max(Krasner
+    bound of G, 0) otherwise.  witness_bounds would refuse the suite's
+    polynomials with a root outside the ring."""
+    bound = Fraction(F.lc.ord())
+    for G, mult in squarefree_decompose(F).factors:
+        if G.degree == 1:
+            bound += mult * (G.constant.ord() - G.lc.ord())
+        else:
+            bound += mult * G.degree * max(krasner_upper_bound(G, G.field), Fraction(0))
+    return bound
+
+
 def test_criterion_11_bound_consistency(Q2, Q3, E2):
     t0 = time.perf_counter()
     if len(_CZ_RUNS) < 203:
-        # selective run: rebuild the reports criteria 4 and 7 would have made
+        # selective run: rebuild the decisions criteria 4 and 7 would have made
         for field in (Q2, Q3, E2):
-            _CZ_RUNS.append((field, decide_CZ(make_cz_not_ck(field), field)))
+            F = make_cz_not_ck(field)
+            _CZ_RUNS.append((field, F, decide_CZ(F, field)))
         for field, F in _suite(Q2, Q3):
-            _CZ_RUNS.append((field, decide_CZ(F, field)))
+            _CZ_RUNS.append((field, F, decide_CZ(F, field)))
     violations = 0
-    for field, report in _CZ_RUNS:
-        if report.final_m > report.bounds.max_ord_bound:
+    for field, F, report in _CZ_RUNS:
+        bound = _max_ord_bound(F)
+        if report.final_m > bound:
             violations += 1
             continue
-        card = Fraction(report.bounds.cardA_log_p)
-        wc = report.witness_count
-        if wc**card.denominator > field.p**card.numerator:
+        # the residue system modulo pi^(m + M) for the deepest m <= bound
+        if report.witness_count > field.p ** (field.f * (math.floor(bound) + report.M)):
             violations += 1
     elapsed = time.perf_counter() - t0
     _done(11, violations == 0 and len(_CZ_RUNS) >= 203, elapsed, None)

@@ -118,12 +118,12 @@ def test_witness_far_from_an_exact_root_exits_zero(capsys):
 
 
 def test_exit_code_precondition(capsys):
-    code, out, err = invoke(
-        capsys, "decide", "--p", "2", "--ring", "integers", "--coeffs", "0,0,1", "--json"
-    )
+    # witness bounds need a polynomial without a root in the field, and
+    # x^2 - 17 has the roots +-sqrt(17) in Q_2
+    code, out, err = invoke(capsys, "bounds", "--p", "2", "--poly", "x^2-17", "--json")
     assert code == 2
-    assert json.loads(out)["error"]["reason"] == "not-power-free"
-    assert "not-power-free" in err
+    assert json.loads(out)["error"]["reason"] == "root-in-field"
+    assert "root-in-field" in err
 
 
 def test_exit_code_budget(capsys):
@@ -250,7 +250,8 @@ def test_decide_payload_shape(capsys):
     assert payload["final_m"] == 2
     assert payload["witness_count"] == 40
     assert payload["m_history"] == [0, 2]
-    assert payload["bounds"]["kras_upper"] == "14"
+    # a decision carries no bounds: the bounds command computes them
+    assert "bounds" not in payload
     assert "timing_ms" in payload
 
 

@@ -13,13 +13,10 @@ from padicpowers import decide as decide_module
 from padicpowers import roots as roots_module
 from padicpowers import (
     BASE,
-    BoundsReport,
     DegreeTooSmall,
     IntPoly,
     NotSquareFree,
-    PreconditionNotPowerFree,
     PreconditionRootInField,
-    PreconditionRootInRing,
     ScanBudgetExceeded,
     ZeroPolynomial,
     approximate_on_integers,
@@ -87,10 +84,10 @@ def test_cz_one_plus_8x(Q2):
     assert (report.M, report.final_m, report.witness_count) == (3, 0, 8)
     assert report.m_history == (0,)
     assert report.counterexample is None
-    assert report.bounds.kras_upper is None
-    assert report.bounds.max_ord_bound == 0
-    assert report.bounds.cardA_log_p == 3
-    assert report.bounds.pejkovic_log_p is None
+    # a report carries no bounds: witness_bounds computes them on request,
+    # and refuses 1 + 8x, whose root -1/8 lies in the field
+    with pytest.raises(PreconditionRootInField):
+        witness_bounds(P(Q2, 1, 8), Q2)
 
 
 def test_cz_constant_counterexample(Q3):
@@ -134,10 +131,13 @@ def test_budget_below_one_is_refused_before_analysis(Q2, entry, analysis_calls):
 
 
 def test_cz_preconditions(Q2):
-    with pytest.raises(PreconditionNotPowerFree):
-        decide_CZ(P(Q2, 0, 0, 1), Q2)
-    with pytest.raises(PreconditionRootInRing):
-        decide_CZ(P(Q2, 0, -1, 1), Q2)
+    # decide_CZ has none: x^2 is a member, and x^2 - x, with its ring roots
+    # 0 and 1, takes 2 at 2, in the class of 2
+    assert decide_CZ(P(Q2, 0, 0, 1), Q2).verdict
+    report = decide_CZ(P(Q2, 0, -1, 1), Q2)
+    assert not report.verdict
+    point, cls = report.counterexample
+    assert (point, cls.label()) == (Q2.element(2), "2")
     # 0 = 0^p: both deciders report the zero polynomial as a member
     zero = IntPoly(Q2, ())
     assert decide_CZ(zero, Q2) == decide_CK(zero, Q2)._replace(class_tested="C_ZK")
@@ -171,10 +171,8 @@ def test_ck_motivating_quartic(Q2):
 
 def test_ck_analyses_once(Q2, Q5, analysis_calls):
     # one decomposition, and one ring-root search for the factor and one for
-    # its reciprocal.  A member, scanned on both sides, whose scan bounds
-    # read ord Res(F, F') off Yun's first gcd as F is square-free, and a
-    # polynomial with a root in the field, which needs no bounds: neither
-    # computes a resultant
+    # its reciprocal.  A member, scanned on both sides, and a polynomial
+    # with a root in the field: no decision computes a resultant
     for field, F in ((Q2, P(Q2, 9, 0, 4, 0, 4)), (Q5, P(Q5, 2, 5))):
         analysis_calls.clear()
         decide_CK(F, field)
@@ -184,10 +182,10 @@ def test_ck_analyses_once(Q2, Q5, analysis_calls):
 
 # entry point, its arguments after F and the field, and its decompositions,
 # resultants and ring-root searches: one decomposition each, resultants only
-# for Krasner bounds (one per factor for the scan bounds, plus one for a
-# radical of several factors; none for a square-free F, whose ord Res(F, F')
-# comes from Yun's first gcd), and at most one search per factor and one
-# per reciprocal
+# for witness_bounds' Krasner bound of a radical of several factors (none
+# for a square-free F, whose ord Res(F, F') comes from Yun's first gcd), at
+# most one search per factor and one per reciprocal, and none for
+# decide_CZ, whose scan needs no root search
 QUARTIC = (9, 0, 4, 0, 4)
 TWO_FACTOR = (9, 18, 31, 26, 25, 16, 16, 8, 4)  # the quartic times (x^2+x+1)^2
 NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
@@ -198,13 +196,13 @@ NONIC = (40, 0, 0, 54, 0, 0, 54, 0, 0, 27)
     [
         (witness_bounds, (), "Q2", QUARTIC, (1, 0, 2)),
         (witness_bounds, (), "Q2", TWO_FACTOR, (1, 1, 4)),
-        (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 0, 1)),
+        (approximate_on_integers, (3,), "Q2", QUARTIC, (1, 0, 0)),
         (has_root_in_field, (), "Q2", QUARTIC, (1, 0, 2)),
         (has_root_in_field, (), "Q2", (-17, 0, 1), (1, 0, 1)),
         (root_multiplicity_report, (2,), "Q2", TWO_FACTOR, (1, 0, 2)),
         (class_spectrum, (), "Q3", NONIC, (1, 0, 2)),
         (class_spectrum, (), "Q2", TWO_FACTOR, (1, 0, 4)),
-        (decide_CZ, (), "Q2", QUARTIC, (1, 0, 1)),
+        (decide_CZ, (), "Q2", QUARTIC, (1, 0, 0)),
     ],
 )
 def test_entry_points_analyse_once(
@@ -217,11 +215,11 @@ def test_entry_points_analyse_once(
 
 
 def test_scan_out_of_budget_computes_no_resultant(Q2, analysis_calls):
-    # the bounds come after the scans, so a decision whose direct or
-    # reciprocal scan runs out of budget computes no resultant, and the error
-    # names the nodes the decision's scans visited and the budget.  The Q_13
-    # member pins the one node of each scan; the quartic's direct scan
-    # visits 3 nodes, and its reciprocal scan 3 more
+    # a decision whose direct or reciprocal scan runs out of budget computes
+    # no resultant, and the error names the nodes the decision's scans
+    # visited and the budget.  The Q_13 member pins the one node of each
+    # scan; the quartic's direct scan visits 3 nodes, and its reciprocal
+    # scan 3 more
     Q13 = make_field(13, BASE)
     cases = [
         (decide_CK, make_ck_not_power(Q13, 2), Q13, 1, {"nodes": 2, "budget": 1}),
@@ -255,7 +253,6 @@ def test_ck_zero_polynomial(Q2):
     report = decide_CK(IntPoly(Q2, ()), Q2)
     assert report.verdict
     assert (report.final_m, report.witness_count, report.m_history) == (0, 0, ())
-    assert report.bounds is None
 
 
 def test_ck_rejects_non_integer_coefficients(Q2):
@@ -344,31 +341,20 @@ def test_witness_bounds_past_float_range(Q3):
     assert bounds.pejkovic_log_p == 1.5
 
 
-def test_scan_bounds_hold_on_fixtures(Q2, Q3):
-    for field, coeffs in ((Q2, (1, 8)), (Q2, (36, 0, 16, 0, 16)), (Q3, (3,))):
-        report = decide_CZ(IntPoly(field, coeffs), field)
-        assert report.final_m <= report.bounds.max_ord_bound
-        assert len(report.m_history) <= report.bounds.max_ord_bound + 1
-        logp = Fraction(field.f) * (report.final_m + report.M)
-        assert logp <= report.bounds.cardA_log_p
-
-
 def test_ck_constant_power_free_part(Q2, Q3):
     # 3x^3 over Q_3 and 2x^2 over Q_2 strip x^p to the constants 3 and 2,
     # which are no p-th powers.  The scan of the constant fails at its one
     # node, at 0, where F vanishes, so the scan of F on pi O_K names the
-    # witness; the bounds are the constant's, no Krasner bound, max ord its
-    # ord 1 and log-size f(1 + M)
-    for field, F, label, count, card in (
-        (Q3, P(Q3, 0, 0, 0, 3), "3", 9, 3),
-        (Q2, P(Q2, 0, 0, 2), "2", 8, 4),
+    # witness
+    for field, F, label, count in (
+        (Q3, P(Q3, 0, 0, 0, 3), "3", 9),
+        (Q2, P(Q2, 0, 0, 2), "2", 8),
     ):
         report = decide_CK(F, field)
         assert not report.verdict
         assert_counterexample_holds(report, F, field)
         assert report.counterexample[1].label() == label
         assert (report.final_m, report.m_history, report.witness_count) == (0, (0,), count)
-        assert report.bounds == BoundsReport(None, 1, card, None)
 
 
 def test_ck_constant_member_sums_both_scans(Q2, Q3):
@@ -386,17 +372,17 @@ def test_ck_constant_member_sums_both_scans(Q2, Q3):
         assert report.witness_count == 2 * field.p ** (field.f * (v + report.M))
 
 
-def test_scan_bounds_of_two_factors(Q2):
+def test_witness_bounds_of_two_factors(Q2):
     # (x^2 + x + 1)(x^2 + 3) over Q_2 has two square-free factors of degree
-    # 2: kras_upper is the radical's Krasner bound, here F's own, and the
-    # bound on max ord holds above the largest ord F takes on the ring
+    # 2 and no root in the field: kras_upper is the radical's Krasner bound,
+    # here F's own, and the bound on max ord holds above the largest ord F
+    # takes on the ring
     F = P(Q2, 1, 1, 1) * P(Q2, 3, 0, 1)
+    bounds = witness_bounds(F, Q2)
+    assert bounds.kras_upper == krasner_upper_bound(F, Q2) == 1
+    assert bounds.max_ord_bound == 4
     depth = 4 + threshold_k0(Q2) + 1
-    for decide in (decide_CZ, decide_CK):
-        bounds = decide(F, Q2).bounds
-        assert bounds.kras_upper == krasner_upper_bound(F, Q2) == 1
-        assert bounds.max_ord_bound == 4
-        assert oracle_max_ord(F, Q2, depth) == 2
+    assert oracle_max_ord(F, Q2, depth) == 2
 
 
 # --- differential against the oracle
@@ -579,6 +565,39 @@ def test_counterexamples_hold_at_their_points(Q2, Q3, Q5, E2, U2, E2_cube, E3, E
             assert_counterexample_holds(report, reciprocal(reduced) if mirrored else F, field)
             cases[kind, field] += 1
     assert len(cases) == 4 * len(fields)
+
+
+def test_cz_answers_inputs_with_ring_roots(Q2, Q3, Q5, E2, U2, E3):
+    # decide_CZ has no precondition: G (x - a), G (x - a)^p and G (x - a)^2,
+    # with a in the ring, each get a verdict.  Every witness is a nonzero
+    # non-power of F itself under the oracle.  A member is checked against
+    # the oracle on the residues modulo pi^min(final_m + M, 6) only, a
+    # partial check: the scan's cover certifies the rest.  And C_K lies in
+    # C_ZK: a field-wide member is a member on the ring
+    rng = random.Random(20261022)
+    fields = (Q2, Q3, Q5, E2, U2, E3)
+    verdicts = Counter()
+    for _ in range(300):
+        field = rng.choice(fields)
+        n = field.degree
+
+        def elem():
+            return tuple(rng.randint(-4, 4) for _ in range(n))
+
+        G = IntPoly(field, [elem() for _ in range(rng.randint(0, 2))] + [elem()])
+        if G.is_zero:
+            continue
+        a = field.element(elem())
+        F = G * P(field, -a, 1) ** rng.choice((1, 2, field.p))
+        report = decide_CZ(F, field)
+        verdicts[report.verdict] += 1
+        if report.verdict:
+            assert oracle_decide(F, field, min(report.final_m + report.M, 6)), str(F)
+        else:
+            assert_counterexample_holds(report, F, field)
+        if decide_CK(F, field).verdict:
+            assert report.verdict, str(F)
+    assert verdicts[False] > 250 and verdicts[True] > 0, verdicts
 
 
 def test_witnesses_avoid_roots_of_stripped_powers(Q2, Q3, Q5, E2, U2, E2_cube, E3):

@@ -32,6 +32,7 @@ from padicpowers import (
     necessary_conditions,
     roots_in_valuation_ring,
     squarefree_decompose,
+    witness_bounds,
 )
 
 
@@ -70,7 +71,6 @@ RECORD_FIELDS = {
         "witness_count",
         "counterexample",
         "m_history",
-        "bounds",
     ),
     RootApproximation: ("truncation", "precision", "certified_by_hensel"),
     PadicRootReport: ("exists", "roots", "search_depth_used"),
@@ -86,7 +86,7 @@ def test_report_records_are_immutable_named_tuples():
     report = decide_CK(F, Q2)
     records = [
         report,
-        report.bounds,
+        witness_bounds(F, Q2),
         roots_in_valuation_ring(IntPoly(Q2, (-2, 1)), Q2),
         roots_in_valuation_ring(IntPoly(Q2, (-2, 1)), Q2).roots[0],
         class_of(Q2.element(3), Q2),

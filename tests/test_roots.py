@@ -282,7 +282,7 @@ def test_walks_split_the_same_nodes(Q2, Q3, Q5, E2, U2, E2_cube, E3, monkeypatch
     calls = _split_sequence(fields, monkeypatch)
     assert len(calls) > 500
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
-    assert digest == "db0a82a407d7e82ba376ac7bda74da09471287526eb971513ca6336ae452edfa", digest
+    assert digest == "890fd9be8a01f341a2217d1ddb50dc6ffb908455442922e02e1da5e920b05aa2", digest
 
     # the walk's contract, driven directly by a caller that splits a few
     # nodes of each level, each under a tag of its own: only those nodes

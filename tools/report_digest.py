@@ -1,6 +1,7 @@
 """One sha256 over the library's outputs on seeded inputs.
 
     python3 tools/report_digest.py --seed 7
+    python3 tools/report_digest.py --seed 7 --records
 
 Over Q_2, Q_3, Q_5, Q_2(sqrt 2), the unramified quadratic U_2 and
 Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
@@ -26,10 +27,13 @@ Q_3(sqrt -3), it draws seeded polynomials and records, exceptions included:
   pi^v * u, for v = 0 .. 2p + e and one v >= 100, where u is a unit with
   wide coordinates or the p-th power of one
 
-and prints the sha256 of their canonical serialization.  Two checkouts that
-print the same digest for a seed give the same outputs on all of it, so a
-change meant to keep outputs can be checked by running this on both.  Run
-it from the root of a source checkout; it imports the package from src/.
+and prints the sha256 of their canonical serialization, one JSON line per
+record.  Two checkouts that print the same digest for a seed give the same
+outputs on all of it, so a change meant to keep outputs can be checked by
+running this on both.  With --records it prints those lines instead, each
+after its index and a tab, so that diff of the two outputs names the
+records that moved.  Run it from the root of a source checkout; it imports
+the package from src/.
 """
 
 from __future__ import annotations
@@ -231,7 +235,15 @@ def digest(seed: int) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    print(digest(parser.parse_args().seed))
+    parser.add_argument(
+        "--records", action="store_true", help="print each record's line after its index"
+    )
+    args = parser.parse_args()
+    if args.records:
+        for index, item in enumerate(items(args.seed)):
+            print(f"{index}\t{json.dumps(item)}")
+    else:
+        print(digest(args.seed))
 
 
 if __name__ == "__main__":
